@@ -11,11 +11,11 @@ GO ?= go
 BENCH_LABEL ?= after
 FUZZTIME ?= 10s
 
-.PHONY: check build test verify vet lint fuzz-smoke race race-engine race-kernel race-obs race-serve race-dispatch race-search race-cluster bench bench-serve bench-search bench-cluster obs-overhead expofmt csptop-smoke
+.PHONY: check build test verify vet lint fuzz-smoke race race-engine race-kernel race-obs race-serve race-dispatch race-search race-cluster cluster-repeat bench bench-serve bench-search bench-cluster obs-overhead expofmt csptop-smoke
 
 # Default target: everything a PR must pass locally. expofmt is the
 # exposition-format gate (Prometheus text writer + /metrics content tests).
-check: vet verify lint expofmt race-kernel race-obs race-serve race-dispatch race-search race-cluster
+check: vet verify lint expofmt race-kernel race-obs race-serve race-dispatch race-search race-cluster cluster-repeat
 
 build:
 	$(GO) build ./...
@@ -94,6 +94,12 @@ race-search:
 # lifecycle test drains under SIGTERM — all under the detector.
 race-cluster:
 	$(GO) test -race -count=1 ./internal/cluster/ ./cmd/cspr/
+
+# The replica-state tests, fifty times over: router and health-poller
+# behaviour must be deterministic, so a timing-dependent pass is caught here
+# rather than as a flaky tier-1 run.
+cluster-repeat:
+	$(GO) test -count 50 -run 'TestRouter|TestHealthPoller' ./internal/cluster/
 
 # Benchmark the join/semijoin/Yannakakis/engine hot paths and merge the
 # medians into BENCH_relation.json under $(BENCH_LABEL). Run with

@@ -1,40 +1,42 @@
 // Command csolve solves constraint-satisfaction problems from the command
 // line. It reads either the library's instance text format or a DIMACS
-// coloring graph, picks a strategy (or is told one), and prints a solution
-// or UNSAT.
+// coloring graph, runs one entry of the shared solver table
+// (internal/dispatch), and prints a solution or UNSAT.
 //
 // Usage:
 //
-//	csolve [-strategy auto|search|join|treewidth|schaefer] [-explain]
-//	       [-all max] [-timeout d] [-trace out.jsonl] [-events out.jsonl]
-//	       instance.csp
+//	csolve [-strategy auto|portfolio|parallel|learn|mac|fc|bt|cbj|join]
+//	       [-width k] [-workers n] [-timeout d] [-explain]
+//	       [-trace out.jsonl] [-events out.jsonl] instance.csp
 //	csolve -coloring k graph.col
-//	csolve -auto [-width k] instance.csp
-//	csolve -portfolio [-timeout 2s] instance.csp
-//	csolve -parallel [-workers n] instance.csp
-//	csolve -learn [-timeout 2s] instance.csp
+//	csolve -all max instance.csp
+//	csolve -count instance.csp
 //
 // With no file argument the instance is read from standard input.
-// -auto classifies the instance's structure (tree / schaefer / acyclic /
-// bounded width) and routes it to the matching polynomial solver, falling
-// back to the portfolio only for hard instances; the summary line reports
-// the chosen route and the classification time. -portfolio races the MAC,
-// FC, CBJ and join solvers and reports the first verdict; -parallel splits
-// the root domain across a worker pool; -timeout bounds the solve
-// wall-clock (the search reports UNKNOWN when it expires). -learn runs the
-// restart/nogood learning engine and extends the summary line with its
-// restart and nogood counters. -trace turns on
-// structured span tracing for the solve and writes the drained spans as
-// JSON lines (the same schema cspd's /trace endpoint serves) to the given
-// file. -events writes the solve's canonical wide event — route, verdict,
-// effort counters, wall clock — as one JSON line in the schema cspd's
-// /events endpoint serves; its trace_id matches the -trace root span.
+// -strategy takes the names cspd's strategy= parameter accepts. The
+// default, auto, classifies the instance's structure (tree / schaefer /
+// acyclic / bounded width, -width setting the width budget) and routes it
+// to the matching polynomial solver, falling back to the portfolio only for
+// hard instances; its summary line reports the chosen route and the
+// classification time. portfolio races the MAC, FC, CBJ, learning and join
+// solvers and reports the winner; parallel splits the root domain across
+// -workers workers; learn runs the restart/nogood learning engine; mac, fc,
+// bt, cbj and join run one engine. -timeout bounds the solve wall clock
+// for every strategy (the search reports UNKNOWN when it expires). -all
+// enumerates solutions by search and -count counts them by decomposition
+// DP, whatever the strategy. -trace turns on structured span tracing for
+// the solve and writes the drained spans as JSON lines (the same schema
+// cspd's /trace endpoint serves) to the given file. -events writes the
+// solve's canonical wide event — route, verdict, effort counters, wall
+// clock — as one JSON line in the schema cspd's /events endpoint serves;
+// its trace_id matches the -trace root span.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -49,36 +51,28 @@ import (
 
 // config carries the parsed command-line options.
 type config struct {
-	strategy  string
-	coloring  int
-	explain   bool
-	all       int64
-	count     bool
-	timeout   time.Duration
-	auto      bool
-	width     int
-	portfolio bool
-	parallel  bool
-	workers   int
-	learn     bool
-	trace     string
-	events    string
-	args      []string
+	strategy string
+	coloring int
+	explain  bool
+	all      int64
+	count    bool
+	timeout  time.Duration
+	width    int
+	workers  int
+	trace    string
+	events   string
+	args     []string
 }
 
 func main() {
-	strategy := flag.String("strategy", "auto", "solving strategy: auto, search, join, treewidth, schaefer, tree")
+	strategy := flag.String("strategy", "auto", "solver-table entry: auto, portfolio, parallel, learn, mac, fc, bt, cbj, join")
 	coloring := flag.Int("coloring", 0, "treat the input as a DIMACS graph and solve k-coloring")
-	explain := flag.Bool("explain", false, "print the auto-strategy rationale before solving")
-	all := flag.Int64("all", 0, "enumerate up to this many solutions (search strategy)")
+	explain := flag.Bool("explain", false, "print the auto strategy's routing rationale before solving")
+	all := flag.Int64("all", 0, "enumerate up to this many solutions by search")
 	count := flag.Bool("count", false, "count solutions exactly via decomposition DP")
 	timeout := flag.Duration("timeout", 0, "wall-clock limit for solving (0 = none)")
-	auto := flag.Bool("auto", false, "classify the instance's structure and route it to a matching polynomial solver")
-	width := flag.Int("width", 0, "width budget for -auto's bounded-treewidth route (0 = default)")
-	portfolio := flag.Bool("portfolio", false, "race MAC, FC, CBJ and join solvers; first verdict wins")
-	parallel := flag.Bool("parallel", false, "split the root variable's domain across a parallel worker pool")
-	workers := flag.Int("workers", 0, "worker-pool size for -parallel (0 = GOMAXPROCS)")
-	learn := flag.Bool("learn", false, "solve with the restart/nogood learning engine")
+	width := flag.Int("width", 0, "width budget for auto's bounded-treewidth route (0 = default)")
+	workers := flag.Int("workers", 0, "worker-pool size for the parallel strategy (0 = GOMAXPROCS)")
 	trace := flag.String("trace", "", "write the solve's span trace to this file as JSON lines")
 	events := flag.String("events", "", "write the solve's wide event to this file as a JSON line")
 	flag.Parse()
@@ -86,17 +80,17 @@ func main() {
 	cfg := config{
 		strategy: *strategy, coloring: *coloring, explain: *explain,
 		all: *all, count: *count, timeout: *timeout,
-		auto: *auto, width: *width,
-		portfolio: *portfolio, parallel: *parallel, workers: *workers,
-		learn: *learn, trace: *trace, events: *events, args: flag.Args(),
+		width: *width, workers: *workers,
+		trace: *trace, events: *events, args: flag.Args(),
 	}
-	if err := run(cfg); err != nil {
+	if err := run(os.Stdout, cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "csolve:", err)
 		os.Exit(2)
 	}
 }
 
-func run(cfg config) (err error) {
+// run solves one instance as configured and writes the answer to w.
+func run(w io.Writer, cfg config) (err error) {
 	in := os.Stdin
 	if len(cfg.args) > 1 {
 		return fmt.Errorf("at most one input file expected")
@@ -128,18 +122,9 @@ func run(cfg config) (err error) {
 		}
 	}
 
-	strategy, err := parseStrategy(cfg.strategy)
+	strategy, err := dispatch.Parse(cfg.strategy, "", cfg.workers)
 	if err != nil {
 		return err
-	}
-	exclusive := 0
-	for _, on := range []bool{cfg.auto, cfg.portfolio, cfg.parallel, cfg.learn} {
-		if on {
-			exclusive++
-		}
-	}
-	if exclusive > 1 {
-		return fmt.Errorf("-auto, -portfolio, -parallel and -learn are mutually exclusive")
 	}
 	ctx := context.Background()
 	if cfg.timeout > 0 {
@@ -182,22 +167,9 @@ func run(cfg config) (err error) {
 		}()
 	}
 
-	if cfg.auto {
-		return runAuto(ctx, inst, cfg.width, ev)
-	}
-	if cfg.portfolio {
-		return runPortfolio(ctx, inst, ev)
-	}
-	if cfg.parallel {
-		return runParallel(ctx, inst, cfg.workers, ev)
-	}
-	if cfg.learn {
-		return runLearn(ctx, inst, ev)
-	}
-
 	problem := core.FromCSP(inst)
 	if cfg.explain {
-		fmt.Println("strategy:", problem.Explain(core.Options{}))
+		fmt.Fprintln(w, "strategy:", problem.Explain())
 	}
 
 	if cfg.count {
@@ -210,67 +182,39 @@ func run(cfg config) (err error) {
 		if n.Sign() > 0 {
 			ev.Verdict = obs.VerdictSat
 		}
-		fmt.Printf("%v solution(s)\n", n)
+		fmt.Fprintf(w, "%v solution(s)\n", n)
 		return nil
 	}
 
 	if cfg.all > 0 {
 		count, _ := csp.SolveAllCtx(ctx, inst, csp.Options{}, cfg.all, func(sol []int) bool {
-			fmt.Println(formatSolution(inst, sol))
+			fmt.Fprintln(w, formatSolution(inst, sol))
 			return true
 		})
 		ev.Strategy = "enumerate"
 		ev.Verdict = eventVerdict(count > 0, false)
-		fmt.Printf("%d solution(s)\n", count)
+		fmt.Fprintf(w, "%d solution(s)\n", count)
 		return nil
 	}
 
-	if cfg.timeout > 0 {
-		// A wall-clock limit routes the solve through the context-aware
-		// search engine (the decomposition strategies are not cancellable).
-		res := csp.SolveCtx(ctx, inst, csp.Options{})
-		ev.Strategy = "search"
-		ev.Verdict = eventVerdict(res.Found, res.Aborted)
-		fillEventStats(ev, res.Stats)
-		printSearchResult(inst, res)
-		return nil
+	out := dispatch.NewAnalyzer(cfg.width, 0).Run(ctx, inst, strategy, cfg.workers)
+	ev.Strategy = strategy.String()
+	if strategy == dispatch.Auto {
+		ev.Route = out.Route.String()
 	}
-
-	res, err := problem.Solve(core.Options{Strategy: strategy})
-	if err != nil {
-		return err
+	ev.Winner = out.Winner
+	ev.Verdict = eventVerdict(out.Found, out.Aborted)
+	fillEventStats(ev, out.Stats)
+	switch {
+	case out.Found:
+		fmt.Fprintf(w, "SAT (%s)\n", detail(strategy, out))
+		fmt.Fprintln(w, formatSolution(inst, out.Solution))
+	case out.Aborted:
+		fmt.Fprintf(w, "UNKNOWN (%s)\n", detail(strategy, out))
+	default:
+		fmt.Fprintf(w, "UNSAT (%s)\n", detail(strategy, out))
 	}
-	ev.Strategy = cfg.strategy
-	ev.Verdict = eventVerdict(res.Satisfiable, false)
-	if !res.Satisfiable {
-		fmt.Println("UNSAT")
-		return nil
-	}
-	fmt.Printf("SAT (%v", res.Used)
-	if res.SchaeferClass != nil {
-		fmt.Printf(": %v", *res.SchaeferClass)
-	}
-	fmt.Println(")")
-	fmt.Println(formatSolution(inst, res.Assignment))
 	return nil
-}
-
-func parseStrategy(name string) (core.Strategy, error) {
-	switch name {
-	case "auto":
-		return core.Auto, nil
-	case "search":
-		return core.Search, nil
-	case "join":
-		return core.Join, nil
-	case "treewidth":
-		return core.TreewidthDP, nil
-	case "schaefer":
-		return core.SchaeferSolver, nil
-	case "tree":
-		return core.Tree, nil
-	}
-	return core.Auto, fmt.Errorf("unknown strategy %q", name)
 }
 
 func formatSolution(inst *csp.Instance, sol []int) string {
@@ -308,7 +252,7 @@ func writeEvents(path string) error {
 	if err != nil {
 		return err
 	}
-	if err := obs.WriteEventsJSONL(f, obs.DefaultEvents().Drain()); err != nil {
+	if err := obs.WriteJSONL(f, obs.DefaultEvents().Drain()); err != nil {
 		f.Close()
 		return err
 	}
@@ -328,124 +272,31 @@ func writeTrace(path string) error {
 	return f.Close()
 }
 
-// printSearchResult renders a context-aware search outcome: SAT with the
-// assignment, UNSAT, or UNKNOWN when the search was cancelled or limited.
-// The summary line carries the strategy that ran, the search effort, the
-// deepest point the search reached, and the wall clock.
-func printSearchResult(inst *csp.Instance, res csp.Result) {
-	switch {
-	case res.Found:
-		fmt.Printf("SAT (%s, %d nodes, depth %d, %v)\n", res.Stats.Strategy, res.Stats.Nodes,
-			res.Stats.MaxDepth, res.Stats.Duration.Round(time.Microsecond))
-		fmt.Println(formatSolution(inst, res.Solution))
-	case res.Aborted:
-		fmt.Printf("UNKNOWN (%s aborted after %d nodes, depth %d, %v)\n", res.Stats.Strategy,
-			res.Stats.Nodes, res.Stats.MaxDepth, res.Stats.Duration.Round(time.Microsecond))
-	default:
-		fmt.Printf("UNSAT (%s, %d nodes, depth %d, %v)\n", res.Stats.Strategy, res.Stats.Nodes,
-			res.Stats.MaxDepth, res.Stats.Duration.Round(time.Microsecond))
+// detail renders the summary line's parenthesis. It always names the
+// strategy that ran and ends with the search effort and the wall clock. For
+// auto it adds the route the verdict came from and the classification time;
+// for the single engines, the engine label. A portfolio winner and a
+// parallel split are named when there is one, and the learning engine's
+// restart and nogood counters when it recorded any.
+func detail(s dispatch.Strategy, out dispatch.Outcome) string {
+	var b strings.Builder
+	b.WriteString(s.String())
+	st := out.Stats
+	if s == dispatch.Auto {
+		fmt.Fprintf(&b, ", route=%v, classify %v", out.Route, out.ClassifyTime.Round(time.Microsecond))
+	} else if st.Strategy != "" && out.Winner == "" {
+		fmt.Fprintf(&b, " [%s]", st.Strategy)
 	}
-}
-
-// runAuto routes the instance through the tractability dispatcher. The
-// summary line always names the route the verdict came from and the time
-// classification took, so an auto-routed run is distinguishable from a
-// plain portfolio run (whose Stats.Strategy it would otherwise echo).
-func runAuto(ctx context.Context, inst *csp.Instance, width int, ev *obs.SolveEvent) error {
-	an := dispatch.NewAnalyzer(width, 0)
-	out := an.Solve(ctx, inst)
-	ev.Strategy = "auto"
-	ev.Route = out.Route.String()
-	ev.Winner = out.Winner
-	ev.Verdict = eventVerdict(out.Found, out.Aborted)
-	fillEventStats(ev, out.Stats)
-	detail := autoDetail(out)
-	switch {
-	case out.Found:
-		fmt.Printf("SAT (%s, %v)\n", detail, out.Stats.Duration.Round(time.Microsecond))
-		fmt.Println(formatSolution(inst, out.Solution))
-	case out.Aborted:
-		fmt.Printf("UNKNOWN (%s)\n", detail)
-	default:
-		fmt.Printf("UNSAT (%s, %v)\n", detail, out.Stats.Duration.Round(time.Microsecond))
+	if out.Winner != "" {
+		fmt.Fprintf(&b, ", portfolio winner %s", out.Winner)
 	}
-	return nil
-}
-
-// autoDetail renders the dispatcher part of the summary line: the route the
-// verdict came from, the classification wall clock, and — when the
-// portfolio fallback produced the verdict — its winning strategy.
-func autoDetail(out dispatch.Outcome) string {
-	detail := fmt.Sprintf("route=%v, classify %v", out.Route,
-		out.ClassifyTime.Round(time.Microsecond))
-	if out.Fallback && out.Winner != "" {
-		detail += ", portfolio winner " + out.Winner
+	if out.Subtrees > 0 {
+		fmt.Fprintf(&b, ", %d subtrees", out.Subtrees)
 	}
-	return detail
-}
-
-func runPortfolio(ctx context.Context, inst *csp.Instance, ev *obs.SolveEvent) error {
-	res := csp.Portfolio(ctx, inst, csp.PortfolioOptions{})
-	ev.Strategy = "portfolio"
-	ev.Winner = res.Winner
-	ev.Verdict = eventVerdict(res.Found, res.Aborted)
-	fillEventStats(ev, res.Result.Stats)
-	switch {
-	case res.Found:
-		fmt.Printf("SAT (portfolio winner %s [%s], depth %d, %v)\n", res.Winner,
-			res.Result.Stats.Strategy, res.Result.Stats.MaxDepth,
-			res.Total.Duration.Round(time.Microsecond))
-		fmt.Println(formatSolution(inst, res.Solution))
-	case res.Aborted:
-		fmt.Printf("UNKNOWN (portfolio aborted, %v)\n", res.Total.Duration.Round(time.Microsecond))
-	default:
-		fmt.Printf("UNSAT (portfolio winner %s [%s], depth %d, %v)\n", res.Winner,
-			res.Result.Stats.Strategy, res.Result.Stats.MaxDepth,
-			res.Total.Duration.Round(time.Microsecond))
+	fmt.Fprintf(&b, ", %d nodes, depth %d", st.Nodes, st.MaxDepth)
+	if st.Restarts > 0 || st.NogoodsRecorded > 0 {
+		fmt.Fprintf(&b, ", %d restarts, %d nogoods (%d hits)", st.Restarts, st.NogoodsRecorded, st.NogoodHits)
 	}
-	for _, rep := range res.Reports {
-		status := "completed"
-		if rep.Cancelled {
-			status = "cancelled"
-		} else if rep.Aborted {
-			status = "aborted"
-		}
-		fmt.Printf("  %-8s %-9s nodes=%-8d depth=%-3d %v\n", rep.Name, status,
-			rep.Stats.Nodes, rep.Stats.MaxDepth, rep.Stats.Duration.Round(time.Microsecond))
-	}
-	return nil
-}
-
-func runParallel(ctx context.Context, inst *csp.Instance, workers int, ev *obs.SolveEvent) error {
-	res := csp.SolveParallel(ctx, inst, csp.ParallelOptions{Workers: workers})
-	ev.Strategy = "parallel"
-	ev.Verdict = eventVerdict(res.Found, res.Aborted)
-	fillEventStats(ev, res.Stats)
-	fmt.Printf("split into %d subtrees on %d workers\n", res.Subtrees, res.Workers)
-	printSearchResult(inst, res.Result)
-	return nil
-}
-
-// runLearn solves with the restart/nogood learning engine. The summary line
-// extends the search format with the engine's own effort counters: restarts
-// taken, nogoods recorded, and nogood propagation hits.
-func runLearn(ctx context.Context, inst *csp.Instance, ev *obs.SolveEvent) error {
-	res := csp.SolveCtx(ctx, inst, csp.Options{Learn: true})
-	ev.Strategy = "learn"
-	ev.Verdict = eventVerdict(res.Found, res.Aborted)
-	fillEventStats(ev, res.Stats)
-	st := res.Stats
-	detail := fmt.Sprintf("%s, %d nodes, depth %d, %d restarts, %d nogoods (%d hits), %v",
-		st.Strategy, st.Nodes, st.MaxDepth, st.Restarts, st.NogoodsRecorded, st.NogoodHits,
-		st.Duration.Round(time.Microsecond))
-	switch {
-	case res.Found:
-		fmt.Printf("SAT (%s)\n", detail)
-		fmt.Println(formatSolution(inst, res.Solution))
-	case res.Aborted:
-		fmt.Printf("UNKNOWN (%s)\n", detail)
-	default:
-		fmt.Printf("UNSAT (%s)\n", detail)
-	}
-	return nil
+	fmt.Fprintf(&b, ", %v", st.Duration.Round(time.Microsecond))
+	return b.String()
 }

@@ -2,64 +2,78 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
-	"csdb/internal/core"
+	"csdb/internal/dispatch"
 	"csdb/internal/obs"
 )
 
+// TestParseStrategy: -strategy takes exactly the shared table's names;
+// the retired structural names are unknown strategies.
 func TestParseStrategy(t *testing.T) {
-	for name, want := range map[string]core.Strategy{
-		"auto": core.Auto, "search": core.Search, "join": core.Join,
-		"treewidth": core.TreewidthDP, "schaefer": core.SchaeferSolver, "tree": core.Tree,
-	} {
-		got, err := parseStrategy(name)
-		if err != nil || got != want {
-			t.Fatalf("parseStrategy(%q) = %v, %v", name, got, err)
+	sample := []string{"../../testdata/sample.csp"}
+	for _, s := range dispatch.Strategies() {
+		if err := run(io.Discard, config{strategy: s.String(), timeout: 5 * time.Second, args: sample}); err != nil {
+			t.Fatalf("-strategy %s: %v", s, err)
 		}
 	}
-	if _, err := parseStrategy("quantum"); err == nil {
-		t.Fatal("unknown strategy accepted")
+	for _, name := range []string{"quantum", "search", "tree", "schaefer", "treewidth"} {
+		err := run(io.Discard, config{strategy: name, args: sample})
+		if err == nil || !strings.Contains(err.Error(), "unknown strategy") {
+			t.Fatalf("-strategy %s: err = %v, want unknown strategy", name, err)
+		}
 	}
 }
 
 func TestRunOnInstanceFile(t *testing.T) {
 	sample := []string{"../../testdata/sample.csp"}
-	if err := run(config{strategy: "auto", explain: true, args: sample}); err != nil {
+	if err := run(io.Discard, config{strategy: "auto", explain: true, args: sample}); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if err := run(config{strategy: "search", all: 3, args: sample}); err != nil {
+	if err := run(io.Discard, config{strategy: "mac", all: 3, args: sample}); err != nil {
 		t.Fatalf("run -all: %v", err)
 	}
-	if err := run(config{strategy: "auto", count: true, args: sample}); err != nil {
+	if err := run(io.Discard, config{strategy: "auto", count: true, args: sample}); err != nil {
 		t.Fatalf("run -count: %v", err)
 	}
 }
 
 func TestRunEngineFlags(t *testing.T) {
 	sample := []string{"../../testdata/sample.csp"}
-	if err := run(config{strategy: "auto", portfolio: true, timeout: 5 * time.Second, args: sample}); err != nil {
-		t.Fatalf("run -portfolio: %v", err)
+	for _, cfg := range []config{
+		{strategy: "portfolio", timeout: 5 * time.Second},
+		{strategy: "parallel", workers: 2},
+		{strategy: "auto", timeout: 5 * time.Second},
+		{strategy: "learn", timeout: 5 * time.Second},
+	} {
+		cfg.args = sample
+		if err := run(io.Discard, cfg); err != nil {
+			t.Fatalf("-strategy %s: %v", cfg.strategy, err)
+		}
 	}
-	if err := run(config{strategy: "auto", parallel: true, workers: 2, args: sample}); err != nil {
-		t.Fatalf("run -parallel: %v", err)
+	err := run(io.Discard, config{strategy: "learn", workers: 2, args: sample})
+	if err == nil || !strings.Contains(err.Error(), "conflicting workers") {
+		t.Fatalf("-strategy learn -workers 2: err = %v, want a conflict", err)
 	}
-	if err := run(config{strategy: "auto", timeout: 5 * time.Second, args: sample}); err != nil {
-		t.Fatalf("run -timeout: %v", err)
+}
+
+// TestTimeoutKeepsStrategy: -timeout bounds the named engine through ctx
+// instead of swapping it for another one.
+func TestTimeoutKeepsStrategy(t *testing.T) {
+	var out bytes.Buffer
+	cfg := config{strategy: "join", timeout: 5 * time.Second, args: []string{"../../testdata/sample.csp"}}
+	if err := run(&out, cfg); err != nil {
+		t.Fatal(err)
 	}
-	if err := run(config{strategy: "auto", learn: true, timeout: 5 * time.Second, args: sample}); err != nil {
-		t.Fatalf("run -learn: %v", err)
-	}
-	if err := run(config{strategy: "auto", portfolio: true, parallel: true, args: sample}); err == nil {
-		t.Fatal("-portfolio with -parallel accepted")
-	}
-	if err := run(config{strategy: "auto", learn: true, parallel: true, args: sample}); err == nil {
-		t.Fatal("-learn with -parallel accepted")
+	if first := strings.SplitN(out.String(), "\n", 2)[0]; !strings.HasPrefix(first, "SAT (join [Join]") {
+		t.Fatalf("summary %q, want the join strategy", first)
 	}
 }
 
@@ -76,10 +90,10 @@ func TestRunTraceFlag(t *testing.T) {
 
 	out := filepath.Join(t.TempDir(), "trace.jsonl")
 	cfg := config{
-		strategy: "auto", timeout: 5 * time.Second, trace: out,
+		strategy: "mac", timeout: 5 * time.Second, trace: out,
 		args: []string{"../../testdata/sample.csp"},
 	}
-	if err := run(cfg); err != nil {
+	if err := run(io.Discard, cfg); err != nil {
 		t.Fatalf("run -trace: %v", err)
 	}
 
@@ -123,25 +137,25 @@ func TestRunTraceFlag(t *testing.T) {
 
 func TestRunOnDIMACS(t *testing.T) {
 	triangle := []string{"../../testdata/triangle.col"}
-	if err := run(config{strategy: "auto", coloring: 3, args: triangle}); err != nil {
+	if err := run(io.Discard, config{strategy: "auto", coloring: 3, args: triangle}); err != nil {
 		t.Fatalf("3-coloring: %v", err)
 	}
-	if err := run(config{strategy: "search", coloring: 2, args: triangle}); err != nil {
+	if err := run(io.Discard, config{strategy: "mac", coloring: 2, args: triangle}); err != nil {
 		t.Fatalf("2-coloring (UNSAT path): %v", err)
 	}
-	if err := run(config{strategy: "auto", coloring: 3, portfolio: true, args: triangle}); err != nil {
+	if err := run(io.Discard, config{strategy: "portfolio", coloring: 3, args: triangle}); err != nil {
 		t.Fatalf("3-coloring -portfolio: %v", err)
 	}
 }
 
 func TestRunErrors(t *testing.T) {
-	if err := run(config{strategy: "auto", args: []string{"/nonexistent/file"}}); err == nil {
+	if err := run(io.Discard, config{strategy: "auto", args: []string{"/nonexistent/file"}}); err == nil {
 		t.Fatal("missing file accepted")
 	}
-	if err := run(config{strategy: "auto", args: []string{"a", "b"}}); err == nil {
+	if err := run(io.Discard, config{strategy: "auto", args: []string{"a", "b"}}); err == nil {
 		t.Fatal("two files accepted")
 	}
-	if err := run(config{strategy: "bogus", args: []string{"../../testdata/sample.csp"}}); err == nil {
+	if err := run(io.Discard, config{strategy: "bogus", args: []string{"../../testdata/sample.csp"}}); err == nil {
 		t.Fatal("bad strategy accepted")
 	}
 }
@@ -164,10 +178,10 @@ func TestRunEventsFlag(t *testing.T) {
 	evOut := filepath.Join(dir, "events.jsonl")
 	trOut := filepath.Join(dir, "trace.jsonl")
 	cfg := config{
-		strategy: "auto", auto: true, events: evOut, trace: trOut,
+		strategy: "auto", events: evOut, trace: trOut,
 		args: []string{"../../testdata/sample.csp"},
 	}
-	if err := run(cfg); err != nil {
+	if err := run(io.Discard, cfg); err != nil {
 		t.Fatalf("run -events: %v", err)
 	}
 

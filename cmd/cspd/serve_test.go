@@ -31,9 +31,9 @@ func blockingDispatch(started chan<- struct{}, release <-chan struct{}) func(con
 		started <- struct{}{}
 		select {
 		case <-release:
-			return solveResponse{Strategy: p.strategy, Found: true, Solution: []int{0}, WallNs: 1}
+			return solveResponse{Strategy: p.strategy.String(), Found: true, Solution: []int{0}, WallNs: 1}
 		case <-ctx.Done():
-			return solveResponse{Strategy: p.strategy, Aborted: true, WallNs: 1}
+			return solveResponse{Strategy: p.strategy.String(), Aborted: true, WallNs: 1}
 		}
 	}
 }
@@ -303,7 +303,7 @@ func TestMetricsServeLayer(t *testing.T) {
 	}
 	for _, key := range []string{
 		"cspd.solve.executed", "cspd.solve.collapsed", "cspd.solve.too_large",
-		"cspd.cache.hits", "cspd.cache.misses", "cspd.cache.evictions",
+		`cspd.cache.outcome{outcome="hit"}`, `cspd.cache.outcome{outcome="miss"}`,
 		"cspd.cache.len", "cspd.admit.shed", "cspd.admit.queue_depth",
 		"cspd.admit.queue_wait_ns",
 	} {
@@ -311,8 +311,8 @@ func TestMetricsServeLayer(t *testing.T) {
 			t.Fatalf("/metrics missing %q", key)
 		}
 	}
-	if v, ok := snap["cspd.cache.hits"].(float64); !ok || v < 1 {
-		t.Fatalf("cspd.cache.hits = %v, want >= 1", snap["cspd.cache.hits"])
+	if v, ok := snap[`cspd.cache.outcome{outcome="hit"}`].(float64); !ok || v < 1 {
+		t.Fatalf(`cspd.cache.outcome{outcome="hit"} = %v, want >= 1`, snap[`cspd.cache.outcome{outcome="hit"}`])
 	}
 }
 

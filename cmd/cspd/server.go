@@ -113,41 +113,10 @@ func statusLabel(code int) string {
 	return "other"
 }
 
-// strategyLabel maps the requested strategy onto its closed label set. The
-// strategy has been validated against the strategies map on every 200 path,
-// but error paths can carry an empty ("none") or unknown ("other") value.
-// Every case returns its own literal (rather than echoing the input) so the
-// obslabel analyzer can prove the label set is closed.
-func strategyLabel(s string) string {
-	switch s {
-	case "mac":
-		return "mac"
-	case "fc":
-		return "fc"
-	case "bt":
-		return "bt"
-	case "cbj":
-		return "cbj"
-	case "learn":
-		return "learn"
-	case "join":
-		return "join"
-	case "portfolio":
-		return "portfolio"
-	case "parallel":
-		return "parallel"
-	case "auto":
-		return "auto"
-	case "":
-		return "none"
-	}
-	return "other"
-}
-
 // routeLabel maps the dispatcher's routing outcome onto its closed label
 // set: a structural class for auto-routed solves, "engine" when the generic
 // engine ran without structural routing. Literal returns per case, for the
-// same obslabel reason as strategyLabel.
+// same obslabel reason as statusLabel.
 func routeLabel(r string) string {
 	switch r {
 	case "tree":
@@ -172,16 +141,9 @@ const maxBodyBytes = 16 << 20
 
 // solveParams are the validated query parameters of one /solve request.
 type solveParams struct {
-	strategy string
+	strategy dispatch.Strategy
 	timeout  time.Duration
 	workers  int
-}
-
-// strategies is the accepted strategy set; validation happens at the HTTP
-// boundary so the dispatch switch never sees an unknown name.
-var strategies = map[string]bool{
-	"mac": true, "fc": true, "bt": true, "cbj": true, "learn": true,
-	"join": true, "portfolio": true, "parallel": true, "auto": true,
 }
 
 // server carries daemon configuration and the serving layers shared by
@@ -194,9 +156,10 @@ type server struct {
 	cache   *serve.Cache
 	flights serve.Group
 
-	// analyzer backs strategy=auto: it classifies instances and routes them
-	// to polynomial solvers, keeping its own classification LRU so repeat
-	// structure skips straight to the routed solver.
+	// analyzer runs every strategy; for strategy=auto it classifies
+	// instances and routes them to polynomial solvers, keeping its own
+	// classification LRU so repeat structure skips straight to the routed
+	// solver.
 	analyzer *dispatch.Analyzer
 
 	// baseCtx parents every engine solve; cancelSolves aborts them all (the
@@ -274,36 +237,16 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // only the matching events are written (the rest are discarded with the
 // drain, matching /trace's drain-or-lose contract).
 func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	events := obs.DefaultEvents().Drain()
-	if id := r.URL.Query().Get("trace_id"); id != "" {
-		kept := events[:0]
-		for _, ev := range events {
-			if ev.TraceID == id {
-				kept = append(kept, ev)
-			}
-		}
-		events = kept
-	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	_ = obs.WriteEventsJSONL(w, events)
+	_ = obs.WriteJSONL(w, obs.DefaultEvents().DrainTrace(r.URL.Query().Get("trace_id")))
 }
 
 // handleTrace drains the ring buffer as JSON lines. With ?trace_id=X only
 // the matching spans are written (the rest are discarded with the drain, in
 // keeping with the ring's drain-or-lose contract).
 func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	spans := obs.DefaultTracer().Drain()
-	if id := r.URL.Query().Get("trace_id"); id != "" {
-		kept := spans[:0]
-		for _, sp := range spans {
-			if sp.TraceID == id {
-				kept = append(kept, sp)
-			}
-		}
-		spans = kept
-	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	_ = obs.WriteJSONL(w, spans)
+	_ = obs.WriteJSONL(w, obs.DefaultTracer().DrainTrace(r.URL.Query().Get("trace_id")))
 }
 
 // solveResponse is the JSON reply of POST /solve. Cached reports whether the
@@ -365,7 +308,7 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		ev.TsNs = time.Now().UnixNano()
 		obs.Emit(ev)
 		obsRequestNs.Observe(time.Since(start).Nanoseconds(),
-			routeLabel(ev.Route), strategyLabel(ev.Strategy), statusLabel(status))
+			routeLabel(ev.Route), dispatch.StrategyLabel(ev.Strategy), statusLabel(status))
 	}()
 	defer root.End()
 
@@ -410,12 +353,12 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		fail(http.StatusBadRequest, "params", err.Error())
 		return
 	}
-	root.SetStr("strategy", params.strategy)
-	ev.Strategy = params.strategy
+	ev.Strategy = params.strategy.String()
+	root.SetStr("strategy", ev.Strategy)
 
 	key := serve.CacheKey{
 		Hash:     cspio.CanonicalHash(inst),
-		Strategy: params.strategy,
+		Strategy: ev.Strategy,
 		Workers:  params.workers,
 	}
 	// The cache lookup lives inside the flight so a result committed by an
@@ -532,28 +475,14 @@ func retryAfterSeconds(estimate, drainBudget time.Duration) int {
 	return secs
 }
 
-// parseParams validates the query string. The strategy is checked here, at
-// the boundary, so neither the flight nor the dispatch switch can see an
-// unknown name.
+// parseParams validates the query string. The strategy is resolved here, at
+// the boundary, by the dispatch table's parser, so neither the flight nor
+// the engine call can see an unknown name.
 func (s *server) parseParams(q url.Values) (solveParams, error) {
-	p := solveParams{strategy: "portfolio", timeout: 30 * time.Second}
-	if st := q.Get("strategy"); st != "" {
-		if !strategies[st] {
-			return p, fmt.Errorf("unknown strategy %s", strconv.Quote(st))
-		}
-		p.strategy = st
-	}
-	if rt := q.Get("route"); rt != "" {
-		// The dispatcher surface: route=auto turns structural routing on,
-		// route=portfolio pins the generic engine. A conflicting strategy=
-		// in the same query is rejected rather than silently overridden.
-		if rt != "auto" && rt != "portfolio" {
-			return p, fmt.Errorf("bad route %s (want auto or portfolio)", strconv.Quote(rt))
-		}
-		if st := q.Get("strategy"); st != "" && st != rt {
-			return p, fmt.Errorf("conflicting strategy=%s and route=%s", st, rt)
-		}
-		p.strategy = rt
+	p := solveParams{timeout: 30 * time.Second}
+	var err error
+	if p.strategy, p.workers, err = dispatch.ParseQuery(q); err != nil {
+		return p, err
 	}
 	if t := q.Get("timeout"); t != "" {
 		d, err := time.ParseDuration(t)
@@ -565,18 +494,6 @@ func (s *server) parseParams(q url.Values) (solveParams, error) {
 	if s.cfg.maxTimeout > 0 && p.timeout > s.cfg.maxTimeout {
 		p.timeout = s.cfg.maxTimeout
 	}
-	if ws := q.Get("workers"); ws != "" {
-		n, err := strconv.Atoi(ws)
-		if err != nil || n < 0 {
-			return p, fmt.Errorf("bad workers %s", strconv.Quote(ws))
-		}
-		p.workers = n
-	}
-	if p.workers > 0 && p.strategy == "learn" {
-		// The learning engine is single-threaded; a worker bound is a
-		// request for a different engine, not a tunable, so reject it.
-		return p, fmt.Errorf("conflicting workers=%d with strategy=learn", p.workers)
-	}
 	return p, nil
 }
 
@@ -584,47 +501,19 @@ func (s *server) parseParams(q url.Values) (solveParams, error) {
 // the HTTP boundary; ctx carries the request's root span and is bounded by
 // the solve timeout and daemon shutdown.
 func (s *server) realDispatch(ctx context.Context, inst *csp.Instance, p solveParams) solveResponse {
-	resp := solveResponse{Strategy: p.strategy}
 	start := time.Now()
-	switch p.strategy {
-	case "auto":
-		out := s.analyzer.Solve(ctx, inst)
-		resp.Found, resp.Aborted = out.Found, out.Aborted
-		resp.Solution, resp.Stats = out.Solution, out.Stats
-		resp.Route, resp.Winner = out.Route.String(), out.Winner
-	case "portfolio":
-		res := csp.Portfolio(ctx, inst, csp.PortfolioOptions{})
-		resp.Found, resp.Aborted = res.Found, res.Aborted
-		resp.Solution, resp.Winner, resp.Stats = res.Solution, res.Winner, res.Result.Stats
-	case "parallel":
-		res := csp.SolveParallel(ctx, inst, csp.ParallelOptions{Workers: p.workers})
-		resp.Found, resp.Aborted = res.Found, res.Aborted
-		resp.Solution, resp.Subtrees, resp.Stats = res.Solution, res.Subtrees, res.Stats
-	case "cbj":
-		res := csp.SolveCBJCtx(ctx, inst, csp.Options{})
-		resp.Found, resp.Aborted = res.Found, res.Aborted
-		resp.Solution, resp.Stats = res.Solution, res.Stats
-	case "learn":
-		res := csp.SolveCtx(ctx, inst, csp.Options{Learn: true})
-		resp.Found, resp.Aborted = res.Found, res.Aborted
-		resp.Solution, resp.Stats = res.Solution, res.Stats
-	case "join":
-		res := csp.JoinSolveCtx(ctx, inst)
-		resp.Found, resp.Aborted = res.Found, res.Aborted
-		resp.Solution, resp.Stats = res.Solution, res.Stats
-	case "mac", "fc", "bt":
-		opts := csp.Options{}
-		switch p.strategy {
-		case "fc":
-			opts.Algorithm = csp.FC
-		case "bt":
-			opts.Algorithm = csp.BT
-		}
-		res := csp.SolveCtx(ctx, inst, opts)
-		resp.Found, resp.Aborted = res.Found, res.Aborted
-		resp.Solution, resp.Stats = res.Solution, res.Stats
-	default:
-		panic("cspd: unvalidated strategy " + p.strategy)
+	out := s.analyzer.Run(ctx, inst, p.strategy, p.workers)
+	resp := solveResponse{
+		Strategy: p.strategy.String(),
+		Found:    out.Found,
+		Aborted:  out.Aborted,
+		Solution: out.Solution,
+		Winner:   out.Winner,
+		Subtrees: out.Subtrees,
+		Stats:    out.Stats,
+	}
+	if p.strategy == dispatch.Auto {
+		resp.Route = out.Route.String()
 	}
 	resp.WallNs = time.Since(start).Nanoseconds()
 	return resp

@@ -29,11 +29,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("strategy:", problem.Explain(core.Options{}))
-	res, err := problem.Solve(core.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
+	fmt.Println("strategy:", problem.Explain())
+	res := problem.Solve(core.Options{})
 	fmt.Printf("homomorphism view: 3-colorable = %v, coloring = %v\n",
 		res.Satisfiable, res.Assignment)
 

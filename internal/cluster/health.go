@@ -22,8 +22,8 @@ import (
 // before-the-429 shedding the replica's own admission gate would otherwise
 // perform after the request had already crossed the network.
 //
-// Replicas start optimistically live with zero load, so a router routes
-// usefully before its first sweep completes.
+// Replicas start optimistically live with zero load until Start's first
+// sweep, which completes before Start returns.
 type Health struct {
 	urls         []string
 	client       *http.Client
@@ -46,14 +46,15 @@ func NewHealth(urls []string, client *http.Client) *Health {
 	}
 }
 
-// Start launches the background poll loop: one sweep immediately, then one
-// per interval until ctx is cancelled.
+// Start runs one sweep before it returns, so liveness and load are known
+// from the first routed request on, then launches the background poll loop:
+// one sweep per interval until ctx is cancelled.
 func (h *Health) Start(ctx context.Context, interval time.Duration) {
 	if interval <= 0 {
 		interval = time.Second
 	}
+	h.PollOnce(ctx)
 	go func() {
-		h.PollOnce(ctx)
 		t := time.NewTicker(interval)
 		defer t.Stop()
 		for {

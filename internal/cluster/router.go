@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"csdb/internal/cspio"
+	"csdb/internal/dispatch"
 	"csdb/internal/obs"
 )
 
@@ -116,8 +117,8 @@ func New(cfg Config) (*Router, error) {
 	}, nil
 }
 
-// Start launches the background health poller; it stops when ctx is
-// cancelled.
+// Start sweeps every replica once, then launches the background health
+// poller; it stops when ctx is cancelled.
 func (rt *Router) Start(ctx context.Context) {
 	rt.health.Start(ctx, rt.cfg.PollInterval)
 }
@@ -242,7 +243,7 @@ type nodeReply struct {
 // outcome. It records the routing metrics and emits exactly one wide event —
 // carrying the serving node's trace_id when a node replied, the router's own
 // cspr-N id when none did.
-func (rt *Router) route(ctx context.Context, hash uint64, rawQuery, strategy string, body []byte) proxyResult {
+func (rt *Router) route(ctx context.Context, hash uint64, rawQuery string, strategy dispatch.Strategy, body []byte) proxyResult {
 	start := time.Now()
 	plan, offloaded := rt.attemptPlan(hash)
 
@@ -277,7 +278,7 @@ func (rt *Router) route(ctx context.Context, hash uint64, rawQuery, strategy str
 		break
 	}
 
-	ev := obs.SolveEvent{Source: "cspr", Strategy: strategy}
+	ev := obs.SolveEvent{Source: "cspr", Strategy: strategy.String()}
 	res := proxyResult{replica: served}
 	switch {
 	case served >= 0:
@@ -348,6 +349,14 @@ func (rt *Router) route(ctx context.Context, hash uint64, rawQuery, strategy str
 // reject terminates a request locally (never reached a replica), emitting
 // the same one-event-per-request funnel with a router-local trace id.
 func (rt *Router) reject(w http.ResponseWriter, code int, cause, msg string) {
+	rt.noteReject(cause)
+	w.Header().Set("X-CSPR-Outcome", outcomeReject)
+	http.Error(w, msg, code)
+}
+
+// noteReject records one local rejection: the outcome counter and the
+// request's wide event.
+func (rt *Router) noteReject(cause string) {
 	obsRouteOutcome.Inc(outcomeReject)
 	obs.Emit(obs.SolveEvent{
 		TsNs:    time.Now().UnixNano(),
@@ -357,8 +366,6 @@ func (rt *Router) reject(w http.ResponseWriter, code int, cause, msg string) {
 		Verdict: obs.VerdictError,
 		Cause:   cause,
 	})
-	w.Header().Set("X-CSPR-Outcome", outcomeReject)
-	http.Error(w, msg, code)
 }
 
 func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
@@ -382,8 +389,15 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 		rt.reject(w, http.StatusBadRequest, "parse", "parse: "+err.Error())
 		return
 	}
-	res := rt.route(r.Context(), cspio.CanonicalHash(inst), r.URL.RawQuery,
-		r.URL.Query().Get("strategy"), body)
+	// The strategy goes through the dispatch table's parser here too, so
+	// the wide event names the entry that runs (route=auto records auto)
+	// and an unknown one is rejected before it reaches a replica.
+	strategy, _, err := dispatch.ParseQuery(r.URL.Query())
+	if err != nil {
+		rt.reject(w, http.StatusBadRequest, "params", err.Error())
+		return
+	}
+	res := rt.route(r.Context(), cspio.CanonicalHash(inst), r.URL.RawQuery, strategy, body)
 	rt.writeProxied(w, res)
 }
 
@@ -519,20 +533,19 @@ func (rt *Router) routeItem(ctx context.Context, idx int, it batchItem) batchIte
 	out := batchItemResult{Index: idx}
 	inst, err := cspio.Parse(strings.NewReader(it.Instance))
 	if err != nil {
-		obsRouteOutcome.Inc(outcomeReject)
-		obs.Emit(obs.SolveEvent{
-			TsNs:    time.Now().UnixNano(),
-			TraceID: fmt.Sprintf("cspr-%d", rt.reqID.Add(1)),
-			Source:  "cspr",
-			Route:   outcomeReject,
-			Verdict: obs.VerdictError,
-			Cause:   "parse",
-		})
+		rt.noteReject("parse")
 		out.Status, out.Outcome = http.StatusBadRequest, outcomeReject
 		out.Error = "parse: " + err.Error()
 		return out
 	}
-	res := rt.route(ctx, cspio.CanonicalHash(inst), it.query(), it.Strategy, []byte(it.Instance))
+	strategy, err := dispatch.Parse(it.Strategy, it.Route, it.Workers)
+	if err != nil {
+		rt.noteReject("params")
+		out.Status, out.Outcome = http.StatusBadRequest, outcomeReject
+		out.Error = err.Error()
+		return out
+	}
+	res := rt.route(ctx, cspio.CanonicalHash(inst), it.query(), strategy, []byte(it.Instance))
 	out.Status, out.Outcome = res.status, res.outcome
 	if res.replica >= 0 {
 		out.Replica = rt.ring.URL(res.replica)
@@ -571,18 +584,8 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // trace_id, so ?trace_id= here selects the same request a replica's /trace
 // endpoint expands into a span tree.
 func (rt *Router) handleEvents(w http.ResponseWriter, r *http.Request) {
-	events := obs.DefaultEvents().Drain()
-	if id := r.URL.Query().Get("trace_id"); id != "" {
-		kept := events[:0]
-		for _, ev := range events {
-			if ev.TraceID == id {
-				kept = append(kept, ev)
-			}
-		}
-		events = kept
-	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	_ = obs.WriteEventsJSONL(w, events)
+	_ = obs.WriteJSONL(w, obs.DefaultEvents().DrainTrace(r.URL.Query().Get("trace_id")))
 }
 
 // replicaStatus is one row of GET /replicas.

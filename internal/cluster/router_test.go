@@ -212,10 +212,25 @@ func TestRouterAllDown(t *testing.T) {
 	}
 }
 
-// TestRouterRejects: local rejections never touch a replica.
+// TestRouterRejects: local rejections never touch a replica. The strategy
+// is parsed by the dispatch table's parser, so an unknown or conflicting
+// strategy is one of them.
 func TestRouterRejects(t *testing.T) {
 	rt, backends := testCluster(t, 2, nil)
 	ts := routerServer(t, rt)
+
+	for _, q := range []string{"strategy=oracle", "route=bogus", "strategy=mac&route=auto", "strategy=learn&workers=2"} {
+		resp, body := postRouter(t, ts, q, clusterInstance(0))
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", q, resp.StatusCode)
+		}
+		if got := resp.Header.Get("X-CSPR-Outcome"); got != outcomeReject {
+			t.Fatalf("%s: outcome %q, want reject", q, got)
+		}
+		if len(body) == 0 {
+			t.Fatalf("%s: rejection has no reason", q)
+		}
+	}
 
 	resp, _ := postRouter(t, ts, "", "this is not an instance")
 	if resp.StatusCode != http.StatusBadRequest {
@@ -274,6 +289,31 @@ func TestRouterEventSharesNodeTrace(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("no cspr wide event sharing the node's trace id %s", nr.TraceID)
+	}
+}
+
+// TestRouterEventNamesStrategy: the router's wide event records the table
+// entry a request resolves to — route=auto is auto, no parameter at all is
+// the daemon default, portfolio — never the raw (possibly empty) parameter.
+func TestRouterEventNamesStrategy(t *testing.T) {
+	withClusterObs(t)
+	rt, _ := testCluster(t, 2, nil)
+	ts := routerServer(t, rt)
+
+	for q, want := range map[string]string{"route=auto": "auto", "": "portfolio", "strategy=mac": "mac"} {
+		obs.DefaultEvents().Drain()
+		if resp, _ := postRouter(t, ts, q, clusterInstance(2)); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%q: status %d", q, resp.StatusCode)
+		}
+		var got []string
+		for _, ev := range obs.DefaultEvents().Drain() {
+			if ev.Source == "cspr" {
+				got = append(got, ev.Strategy)
+			}
+		}
+		if len(got) != 1 || got[0] != want {
+			t.Fatalf("%q: cspr event strategies %q, want [%s]", q, got, want)
+		}
 	}
 }
 
@@ -348,7 +388,8 @@ func TestBatchPerItemErrors(t *testing.T) {
 	rt, _ := testCluster(t, 2, nil)
 	ts := routerServer(t, rt)
 
-	payload := fmt.Sprintf(`{"items":[{"instance":%q},{"instance":"garbage"}]}`, clusterInstance(0))
+	payload := fmt.Sprintf(`{"items":[{"instance":%q},{"instance":"garbage"},{"instance":%q,"strategy":"oracle"}]}`,
+		clusterInstance(0), clusterInstance(1))
 	resp, err := http.Post(ts.URL+"/solve/batch", "application/json", strings.NewReader(payload))
 	if err != nil {
 		t.Fatal(err)
@@ -361,8 +402,10 @@ func TestBatchPerItemErrors(t *testing.T) {
 	if out.Items[0].Status != http.StatusOK {
 		t.Fatalf("good item: status %d (%s)", out.Items[0].Status, out.Items[0].Error)
 	}
-	if out.Items[1].Status != http.StatusBadRequest || out.Items[1].Outcome != outcomeReject {
-		t.Fatalf("bad item: status %d outcome %s, want 400/reject", out.Items[1].Status, out.Items[1].Outcome)
+	for _, it := range out.Items[1:] {
+		if it.Status != http.StatusBadRequest || it.Outcome != outcomeReject {
+			t.Fatalf("bad item %d: status %d outcome %s, want 400/reject", it.Index, it.Status, it.Outcome)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"csdb/internal/cq"
 	"csdb/internal/csp"
+	"csdb/internal/dispatch"
 	"csdb/internal/gen"
 	"csdb/internal/graph"
 	"csdb/internal/structure"
@@ -17,10 +18,7 @@ func TestFromStructuresAndSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.Solve(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := p.Solve(Options{})
 	if !res.Satisfiable {
 		t.Fatal("C5 -> K3 unsatisfiable")
 	}
@@ -32,10 +30,7 @@ func TestFromStructuresAndSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := p2.Solve(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res2 := p2.Solve(Options{})
 	if res2.Satisfiable {
 		t.Fatal("C5 -> K2 satisfiable")
 	}
@@ -47,11 +42,8 @@ func TestAllStrategiesAgree(t *testing.T) {
 		inst := gen.ModelB(rng, 4+rng.Intn(3), 2+rng.Intn(2), 0.7, 0.4)
 		p := FromCSP(inst)
 		want := csp.Solve(inst, csp.Options{}).Found
-		for _, s := range []Strategy{Auto, Search, Join, TreewidthDP} {
-			res, err := p.Solve(Options{Strategy: s})
-			if err != nil {
-				t.Fatalf("trial %d strategy %v: %v", trial, s, err)
-			}
+		for _, s := range dispatch.Strategies() {
+			res := p.Solve(Options{Strategy: s})
 			if res.Satisfiable != want {
 				t.Fatalf("trial %d strategy %v: got %v want %v", trial, s, res.Satisfiable, want)
 			}
@@ -63,18 +55,16 @@ func TestAllStrategiesAgree(t *testing.T) {
 }
 
 func TestSchaeferStrategy(t *testing.T) {
-	// A 2-SAT-ish Boolean instance: Auto should dispatch to Schaefer.
+	// A 2-SAT Boolean instance on a 4-cycle: not a tree, so Auto must
+	// dispatch it to the Schaefer solver rather than Freuder's.
 	inst := csp.NewInstance(4, 2)
 	orTab := csp.TableOf(2, []int{0, 1}, []int{1, 0}, []int{1, 1})
-	for i := 0; i < 3; i++ {
-		inst.MustAddConstraint([]int{i, i + 1}, orTab)
+	for i := 0; i < 4; i++ {
+		inst.MustAddConstraint([]int{i, (i + 1) % 4}, orTab)
 	}
 	p := FromCSP(inst)
-	res, err := p.Solve(Options{Strategy: Auto, TreewidthThreshold: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Satisfiable || res.Used != SchaeferSolver || res.SchaeferClass == nil {
+	res := p.Solve(Options{})
+	if !res.Satisfiable || res.Route != dispatch.Schaefer {
 		t.Fatalf("schaefer dispatch failed: %+v", res)
 	}
 	if !inst.Satisfies(res.Assignment) {
@@ -88,12 +78,9 @@ func TestSchaeferStrategyAgreesOnRandomBoolean(t *testing.T) {
 		inst := gen.ModelB(rng, 3+rng.Intn(3), 2, 0.8, 0.4)
 		p := FromCSP(inst)
 		want := csp.Solve(inst, csp.Options{}).Found
-		res, err := p.Solve(Options{Strategy: Auto})
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
+		res := p.Solve(Options{})
 		if res.Satisfiable != want {
-			t.Fatalf("trial %d: auto=%v search=%v (used %v)", trial, res.Satisfiable, want, res.Used)
+			t.Fatalf("trial %d: auto=%v search=%v (route %v)", trial, res.Satisfiable, want, res.Route)
 		}
 	}
 }
@@ -106,10 +93,7 @@ func TestBooleanQueryView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.Solve(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := p.Solve(Options{})
 	if !res.Satisfiable {
 		t.Fatal("triangle not found in K3")
 	}
@@ -118,10 +102,7 @@ func TestBooleanQueryView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := p2.Solve(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res2 := p2.Solve(Options{})
 	if res2.Satisfiable {
 		t.Fatal("triangle found in C4")
 	}
@@ -152,10 +133,7 @@ func TestQueryViewRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := p.Solve(Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := p.Solve(Options{})
 		if truth != res.Satisfiable {
 			t.Fatalf("trial %d: query view %v, solver %v", trial, truth, res.Satisfiable)
 		}
@@ -163,37 +141,38 @@ func TestQueryViewRoundTrip(t *testing.T) {
 }
 
 func TestPreprocess(t *testing.T) {
-	// GAC alone refutes this instance; Solve with Preprocess should report
-	// unsatisfiable without error regardless of strategy.
+	// GAC alone refutes this instance: every solver-table entry, the routed
+	// polynomial solvers included, must report it unsatisfiable.
 	inst := csp.NewInstance(2, 2)
 	inst.MustAddConstraint([]int{0, 1}, csp.TableOf(2, []int{0, 1}))
 	inst.MustAddConstraint([]int{0, 1}, csp.TableOf(2, []int{1, 0}))
 	p := FromCSP(inst)
-	for _, s := range []Strategy{Search, Join, TreewidthDP} {
-		res, err := p.Solve(Options{Strategy: s, Preprocess: true})
-		if err != nil {
-			t.Fatalf("strategy %v: %v", s, err)
-		}
-		if res.Satisfiable {
+	for _, s := range dispatch.Strategies() {
+		if res := p.Solve(Options{Strategy: s}); res.Satisfiable {
 			t.Fatalf("strategy %v: satisfiable", s)
 		}
 	}
 }
 
 func TestExplain(t *testing.T) {
-	boolInst := csp.NewInstance(2, 2)
-	boolInst.MustAddConstraint([]int{0, 1}, csp.TableOf(2, []int{0, 0}, []int{1, 1}))
-	msg := FromCSP(boolInst).Explain(Options{})
+	// Tree is checked before Schaefer, so the Boolean instance is a
+	// triangle of equalities.
+	boolInst := csp.NewInstance(3, 2)
+	eq := csp.TableOf(2, []int{0, 0}, []int{1, 1})
+	for i := 0; i < 3; i++ {
+		boolInst.MustAddConstraint([]int{i, (i + 1) % 3}, eq)
+	}
+	msg := FromCSP(boolInst).Explain()
 	if !strings.Contains(msg, "Schaefer") {
 		t.Fatalf("Explain = %q", msg)
 	}
 	treeInst := gen.Coloring(graph.Path(6), 3)
-	msg2 := FromCSP(treeInst).Explain(Options{})
+	msg2 := FromCSP(treeInst).Explain()
 	if !strings.Contains(msg2, "tree-structured") {
 		t.Fatalf("Explain = %q", msg2)
 	}
 	gridInst := gen.Coloring(graph.Grid(3, 4), 3)
-	msg3 := FromCSP(gridInst).Explain(Options{})
+	msg3 := FromCSP(gridInst).Explain()
 	if !strings.Contains(msg3, "treewidth") {
 		t.Fatalf("Explain = %q", msg3)
 	}
@@ -202,11 +181,8 @@ func TestExplain(t *testing.T) {
 func TestTreeStrategy(t *testing.T) {
 	inst := gen.Coloring(graph.Path(8), 3) // 3 colors: not a Boolean template
 	p := FromCSP(inst)
-	res, err := p.Solve(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Satisfiable || res.Used != Tree {
+	res := p.Solve(Options{})
+	if !res.Satisfiable || res.Route != dispatch.Tree {
 		t.Fatalf("tree dispatch failed: %+v", res)
 	}
 	if !inst.Satisfies(res.Assignment) {
@@ -259,21 +235,6 @@ func TestContainsHelper(t *testing.T) {
 	}
 }
 
-func TestStrategyStrings(t *testing.T) {
-	want := map[Strategy]string{
-		Auto: "auto", Search: "search", Join: "join",
-		TreewidthDP: "treewidth-dp", SchaeferSolver: "schaefer", Tree: "tree",
-	}
-	for s, str := range want {
-		if s.String() != str {
-			t.Fatalf("%d.String() = %q, want %q", int(s), s.String(), str)
-		}
-	}
-	if Strategy(99).String() != "Strategy(99)" {
-		t.Fatalf("unknown strategy string = %q", Strategy(99).String())
-	}
-}
-
 func TestCSPAndStructuresAccessors(t *testing.T) {
 	inst := gen.Coloring(graph.Cycle(4), 2)
 	p := FromCSP(inst)
@@ -294,34 +255,20 @@ func TestCSPAndStructuresAccessors(t *testing.T) {
 	}
 }
 
-func TestPreprocessWithSchaeferAndDomains(t *testing.T) {
-	// A Boolean instance with per-variable domains: the Schaefer conversion
-	// must fold the domains into unary constraints.
-	inst := csp.NewInstance(2, 2)
-	inst.Domains = [][]int{{1}, nil}
+func TestSchaeferRouteWithDomains(t *testing.T) {
+	// A Boolean triangle with per-variable domains: the Schaefer route must
+	// fold the domains into unary constraints.
+	inst := csp.NewInstance(3, 2)
+	inst.Domains = [][]int{{1}, nil, nil}
 	orTab := csp.TableOf(2, []int{0, 1}, []int{1, 0}, []int{1, 1})
-	inst.MustAddConstraint([]int{0, 1}, orTab)
-	p := FromCSP(inst)
-	res, err := p.Solve(Options{Strategy: SchaeferSolver})
-	if err != nil {
-		t.Fatal(err)
+	for i := 0; i < 3; i++ {
+		inst.MustAddConstraint([]int{i, (i + 1) % 3}, orTab)
 	}
-	if !res.Satisfiable || res.Assignment[0] != 1 {
+	res := FromCSP(inst).Solve(Options{})
+	if !res.Satisfiable || res.Route != dispatch.Schaefer || res.Assignment[0] != 1 {
 		t.Fatalf("schaefer with domains: %+v", res)
 	}
-	// Preprocess + explicit strategy path.
-	res2, err := p.Solve(Options{Strategy: SchaeferSolver, Preprocess: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res2.Satisfiable {
-		t.Fatalf("preprocessed schaefer: %+v", res2)
-	}
-}
-
-func TestSchaeferStrategyOnNonBooleanErrors(t *testing.T) {
-	inst := gen.Coloring(graph.Cycle(4), 3)
-	if _, err := FromCSP(inst).Solve(Options{Strategy: SchaeferSolver}); err == nil {
-		t.Fatal("schaefer on 3-valued instance accepted")
+	if !inst.Satisfies(res.Assignment) {
+		t.Fatal("invalid assignment")
 	}
 }

@@ -14,10 +14,7 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
-	res, err := p.Solve(core.Options{})
-	if err != nil {
-		panic(err)
-	}
+	res := p.Solve(core.Options{})
 	fmt.Println("3-colorable:", res.Satisfiable)
 
 	// The same object as a Boolean conjunctive query (Proposition 2.3).
@@ -48,7 +45,7 @@ func ExampleProblem_Explain() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(p.Explain(core.Options{}))
+	fmt.Println(p.Explain())
 	// Output:
 	// tree-structured binary instance: backtrack-free directional arc consistency (Freuder)
 }

@@ -20,7 +20,6 @@ import "csdb/internal/obs"
 //	csp.search.nogood_hits nogood propagation events (prunes + conflicts)
 //	csp.joinsolve.calls    Proposition 2.1 join-evaluation decisions
 //	csp.portfolio.races    portfolio races run
-//	csp.portfolio.win.<s>  races won by strategy <s>
 //	csp.portfolio.lane     labeled vector {lane, outcome}: per-lane win/loss
 //	                       tallies across races (outcome win|loss)
 //	csp.parallel.runs      SolveParallel calls
@@ -40,15 +39,6 @@ var (
 	obsParallelRuns     = obs.NewCounter("csp.parallel.runs")
 	obsParallelSubtrees = obs.NewCounter("csp.parallel.subtrees")
 )
-
-// obsPortfolioWin bumps the per-strategy win counter. Counter handles are
-// created on first win; the registry lookup happens once per race, not on
-// the search path.
-func obsPortfolioWin(name string) {
-	if obs.Enabled() {
-		obs.NewCounter("csp.portfolio.win." + name).Inc()
-	}
-}
 
 // obsPortfolioLane is the labeled per-lane outcome vector: one increment per
 // (lane, outcome) per race, flushed after the race settles.

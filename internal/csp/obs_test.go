@@ -75,6 +75,10 @@ func TestPortfolioStatsMatchRegistry(t *testing.T) {
 		p := obsTestInstance()
 		before := obsSearchNodes.Load()
 		beforeRaces := obsPortfolioRaces.Load()
+		beforeWins := map[string]int64{}
+		for _, s := range SearchStrategies() {
+			beforeWins[s.Name] = obsPortfolioLane.Load(laneLabel(s.Name), "win")
+		}
 
 		res := Portfolio(context.Background(), p, PortfolioOptions{Strategies: SearchStrategies()})
 		if !res.Found {
@@ -93,9 +97,9 @@ func TestPortfolioStatsMatchRegistry(t *testing.T) {
 		if got := obsPortfolioRaces.Load() - beforeRaces; got != 1 {
 			t.Fatalf("race counter delta %d, want 1", got)
 		}
-		win := obs.NewCounter("csp.portfolio.win." + res.Winner).Load()
-		if win < 1 {
-			t.Fatalf("no win recorded for %q", res.Winner)
+		win := obsPortfolioLane.Load(laneLabel(res.Winner), "win") - beforeWins[res.Winner]
+		if win != 1 {
+			t.Fatalf("csp.portfolio.lane{lane=%q,outcome=win} delta %d, want 1", laneLabel(res.Winner), win)
 		}
 	})
 }

@@ -176,8 +176,6 @@ func Portfolio(ctx context.Context, p *Instance, popts PortfolioOptions) Portfol
 	}
 	if winner < 0 {
 		out.Result = Result{Aborted: true, Stats: out.Total}
-	} else {
-		obsPortfolioWin(out.Winner)
 	}
 	for i := range out.Reports {
 		recordLaneOutcome(out.Reports[i].Name, i == winner)

@@ -23,6 +23,12 @@
 // answer from a routed solver is verified against the instance, and any
 // routed-solver error falls back to the portfolio, so misclassification
 // cannot corrupt a verdict.
+//
+// The package also owns the solver table every entry point shares: Strategy
+// names its entries (auto, the route above, plus the search engines the
+// Hard route races), Parse is the one parser of the names, and Run is the
+// one place a name becomes an engine call — for csolve, cspd, cspr and
+// core alike.
 package dispatch
 
 import (
@@ -40,26 +46,19 @@ import (
 	"csdb/internal/treewidth"
 )
 
-// Per-class routing counters, the fallback counter the differential gate
-// asserts on (every portfolio invocation, hard-class or defensive), and the
-// cache effectiveness counters.
+// Routing telemetry: the class verdict of every Solve, the classification
+// wall clock per class (routing cost is the dispatcher's overhead story),
+// the defensive reroute labeled by the class that mis-promised, the
+// fallback counter the differential gate asserts on (every portfolio
+// invocation, hard-class or defensive), and the classification-cache
+// effectiveness counters.
 var (
-	obsClassTree     = obs.NewCounter("dispatch.class.tree")
-	obsClassSchaefer = obs.NewCounter("dispatch.class.schaefer")
-	obsClassAcyclic  = obs.NewCounter("dispatch.class.acyclic")
-	obsClassWidth    = obs.NewCounter("dispatch.class.width")
-	obsClassHard     = obs.NewCounter("dispatch.class.hard")
-	obsFallback      = obs.NewCounter("dispatch.fallback")
-	obsReroute       = obs.NewCounter("dispatch.reroute")
-	obsCacheHits     = obs.NewCounter("dispatch.cache.hits")
-	obsCacheStale    = obs.NewCounter("dispatch.cache.stale")
-	// PR-8 labeled telemetry: the same routing verdicts as one vector (so a
-	// scrape sees the class mix without string-prefix games), classification
-	// wall clock per class (routing cost is the dispatcher's overhead story),
-	// and the reroute counter labeled by the class that mis-promised.
 	obsClassVec   = obs.NewCounterVec("dispatch.class", "class")
 	obsClassifyNs = obs.NewHistogramVec("dispatch.classify_ns", "class")
 	obsRerouteVec = obs.NewCounterVec("dispatch.reroute.class", "class")
+	obsFallback   = obs.NewCounter("dispatch.fallback")
+	obsCacheHits  = obs.NewCounter("dispatch.cache.hits")
+	obsCacheStale = obs.NewCounter("dispatch.cache.stale")
 )
 
 // Class is the structural class the analyzer assigns to an instance.
@@ -111,20 +110,6 @@ func (c Class) label() string {
 		return "width"
 	}
 	return "hard"
-}
-
-func (c Class) counter() *obs.Counter {
-	switch c {
-	case Tree:
-		return obsClassTree
-	case Schaefer:
-		return obsClassSchaefer
-	case Acyclic:
-		return obsClassAcyclic
-	case BoundedWidth:
-		return obsClassWidth
-	}
-	return obsClassHard
 }
 
 // Classification is a class verdict plus the witness that makes the routed
@@ -252,17 +237,21 @@ type Outcome struct {
 	csp.Result
 	// Route is the class whose solver produced the verdict. It is Hard
 	// whenever the portfolio ran — including a defensive reroute after a
-	// routed solver failed.
+	// routed solver failed — and for every strategy Run runs other than
+	// Auto.
 	Route Class
-	// Fallback reports that the portfolio produced the verdict.
+	// Fallback reports that Auto's portfolio fallback produced the verdict.
 	Fallback bool
-	// Winner is the portfolio's winning strategy when Fallback is set.
+	// Winner is the portfolio's winning lane whenever a portfolio raced.
 	Winner string
 	// ClassifyTime is the wall clock spent classifying (including the cache
 	// lookup and any witness revalidation).
 	ClassifyTime time.Duration
 	// CacheHit reports that a cached classification was reused.
 	CacheHit bool
+	// Subtrees is the number of root-domain subtrees the Parallel strategy
+	// searched.
+	Subtrees int
 }
 
 // Solve classifies the instance and runs the matching solver; only
@@ -272,7 +261,6 @@ func (a *Analyzer) Solve(ctx context.Context, p *csp.Instance) Outcome {
 	t0 := time.Now()
 	cls, hit := a.Classify(p)
 	out := Outcome{Route: cls.Class, CacheHit: hit, ClassifyTime: time.Since(t0)}
-	cls.Class.counter().Inc()
 	obsClassVec.Inc(cls.Class.label())
 	obsClassifyNs.Observe(out.ClassifyTime.Nanoseconds(), cls.Class.label())
 
@@ -291,7 +279,6 @@ func (a *Analyzer) Solve(ctx context.Context, p *csp.Instance) Outcome {
 		}
 		// A routed solver refusing an instance it was classified for is a
 		// bug; stay correct by rerouting to the portfolio.
-		obsReroute.Inc()
 		obsRerouteVec.Inc(cls.Class.label())
 	}
 
@@ -345,5 +332,12 @@ func (a *Analyzer) solveClass(p *csp.Instance, cls Classification) (csp.Result, 
 // front ends that assert "no PTIME instance reached the portfolio".
 func FallbackCount() int64 { return obsFallback.Load() }
 
-// RerouteCount exposes the defensive-reroute counter.
-func RerouteCount() int64 { return obsReroute.Load() }
+// RerouteCount exposes the defensive-reroute total: the reroute vector
+// summed over the classes that have a routed solver.
+func RerouteCount() int64 {
+	var n int64
+	for _, c := range []Class{Tree, Schaefer, Acyclic, BoundedWidth} {
+		n += obsRerouteVec.Load(c.label())
+	}
+	return n
+}

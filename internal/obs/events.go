@@ -1,13 +1,5 @@
 package obs
 
-import (
-	"bufio"
-	"encoding/json"
-	"io"
-	"sync"
-	"sync/atomic"
-)
-
 // Wide events: one canonical record per solve, in the
 // everything-about-this-request-in-one-row discipline of production serving
 // stacks. Where the span ring answers "what happened inside this solve" and
@@ -56,8 +48,9 @@ type SolveEvent struct {
 	// acyclic, width, hard) for auto-routed solves, otherwise the engine
 	// lane that ran ("portfolio", "parallel", "mac", ...).
 	Route string `json:"route,omitempty"`
-	// Strategy is the requested strategy parameter (cspd) or engine mode
-	// (csolve); unlike Route it names what was asked for, not what ran.
+	// Strategy is the solver-table entry the request resolved to (csolve's
+	// -count and -all modes record count and enumerate); unlike Route it
+	// names what was asked for, not what ran.
 	Strategy string `json:"strategy,omitempty"`
 	// Cache is the serving-layer outcome: hit, miss, follower, or empty when
 	// no cache fronted the solve.
@@ -83,25 +76,17 @@ type SolveEvent struct {
 
 // EventRing owns the completed-event ring buffer and the optional streaming
 // sink. Same shape as the span Tracer on purpose: one atomic activity bit,
-// drain-or-lose ring, dropped counter.
+// drain-or-lose ring, dropped counter — both are a ring.
 type EventRing struct {
-	active  atomic.Bool
-	dropped atomic.Int64
-
-	mu   sync.Mutex
-	buf  []SolveEvent
-	next int
-	full bool
-	sink *bufio.Writer
+	ring[SolveEvent]
 }
 
 // NewEventRing returns a ring holding up to capacity events; older events
 // are overwritten once it is full (and counted in Dropped).
 func NewEventRing(capacity int) *EventRing {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &EventRing{buf: make([]SolveEvent, capacity)}
+	r := &EventRing{}
+	r.init(capacity)
+	return r
 }
 
 // defaultEventCap bounds the default ring: wide events are per solve (not
@@ -122,99 +107,16 @@ func EventsActive() bool { return defaultEvents.Active() }
 // Emit records ev on the default ring.
 func Emit(ev SolveEvent) { defaultEvents.Emit(ev) }
 
-// SetActive turns event recording on or off.
-func (r *EventRing) SetActive(v bool) { r.active.Store(v) }
-
-// Active reports whether the ring is recording.
-func (r *EventRing) Active() bool { return r.active.Load() }
-
-// Dropped returns the number of events overwritten before being drained.
-func (r *EventRing) Dropped() int64 { return r.dropped.Load() }
-
-// SetSink attaches a writer that additionally receives every emitted event
-// as one compact JSON line, independent of ring drains. A nil writer
-// detaches the sink (flushing first). The ring serializes sink writes under
-// its mutex.
-func (r *EventRing) SetSink(w io.Writer) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.sink != nil {
-		r.sink.Flush()
-	}
-	if w == nil {
-		r.sink = nil
-		return
-	}
-	r.sink = bufio.NewWriter(w)
-}
-
-// FlushSink flushes any buffered sink bytes (a no-op without a sink).
-func (r *EventRing) FlushSink() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.sink != nil {
-		r.sink.Flush()
-	}
-}
-
 // Emit commits one event to the ring (and the sink, when attached). No-op
 // while inactive, at the cost of one atomic load: Emit itself is small
-// enough to inline, and the commit slow path is a separate method so the
-// sink encoder's &ev escape cannot force a heap copy of the argument on the
-// inactive path.
+// enough to inline, and the commit is the ring's push, which never lets the
+// argument escape.
 func (r *EventRing) Emit(ev SolveEvent) {
 	if r == nil || !r.active.Load() {
 		return
 	}
-	r.commit(ev)
+	r.push(ev)
 }
 
-func (r *EventRing) commit(ev SolveEvent) {
-	r.mu.Lock()
-	if r.full {
-		r.dropped.Add(1)
-	}
-	r.buf[r.next] = ev
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.full = true
-	}
-	if r.sink != nil {
-		enc := json.NewEncoder(r.sink)
-		_ = enc.Encode(&ev)
-	}
-	r.mu.Unlock()
-}
-
-// Drain returns the buffered events in emission order and clears the ring.
-func (r *EventRing) Drain() []SolveEvent {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []SolveEvent
-	if r.full {
-		out = make([]SolveEvent, 0, len(r.buf))
-		out = append(out, r.buf[r.next:]...)
-		out = append(out, r.buf[:r.next]...)
-	} else {
-		out = append(out, r.buf[:r.next]...)
-	}
-	for i := range r.buf {
-		r.buf[i] = SolveEvent{}
-	}
-	r.next = 0
-	r.full = false
-	return out
-}
-
-// WriteEventsJSONL writes one event per line as compact JSON.
-func WriteEventsJSONL(w io.Writer, events []SolveEvent) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for i := range events {
-		if err := enc.Encode(&events[i]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
+// WriteEventsJSONL is WriteJSONL for wide events.
+var WriteEventsJSONL = WriteJSONL[SolveEvent]

@@ -1,11 +1,7 @@
 package obs
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
-	"io"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -91,24 +87,17 @@ func (s *Span) End() {
 
 // Tracer owns the span id allocator and the completed-span ring buffer.
 type Tracer struct {
-	active  atomic.Bool
-	ids     atomic.Uint64
-	dropped atomic.Int64
-
-	mu   sync.Mutex
-	buf  []SpanRecord
-	next int  // ring write position
-	full bool // the ring has wrapped at least once
+	ring[SpanRecord]
+	ids atomic.Uint64
 }
 
 // NewTracer returns a tracer whose ring holds up to capacity completed
 // spans; older spans are overwritten once the ring is full (and counted in
 // Dropped).
 func NewTracer(capacity int) *Tracer {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Tracer{buf: make([]SpanRecord, capacity)}
+	t := &Tracer{}
+	t.init(capacity)
+	return t
 }
 
 // defaultTracerCap bounds the default ring: 16384 spans ≈ a few MB, enough
@@ -125,15 +114,6 @@ func SetTracing(v bool) { defaultTracer.SetActive(v) }
 
 // Tracing reports whether the default tracer is recording.
 func Tracing() bool { return defaultTracer.Active() }
-
-// SetActive turns span recording on or off.
-func (t *Tracer) SetActive(v bool) { t.active.Store(v) }
-
-// Active reports whether the tracer is recording.
-func (t *Tracer) Active() bool { return t.active.Load() }
-
-// Dropped returns the number of spans overwritten before being drained.
-func (t *Tracer) Dropped() int64 { return t.dropped.Load() }
 
 // StartRoot begins a new root span under the given trace id. Returns nil
 // (the no-op span) when the tracer is inactive.
@@ -165,42 +145,6 @@ func (t *Tracer) StartChild(parent *Span, name string) *Span {
 		sp.rec.Parent = parent.rec.ID
 	}
 	return sp
-}
-
-// push commits a completed span to the ring.
-func (t *Tracer) push(rec SpanRecord) {
-	t.mu.Lock()
-	if t.full {
-		t.dropped.Add(1)
-	}
-	t.buf[t.next] = rec
-	t.next++
-	if t.next == len(t.buf) {
-		t.next = 0
-		t.full = true
-	}
-	t.mu.Unlock()
-}
-
-// Drain returns the buffered spans in completion order and clears the ring.
-func (t *Tracer) Drain() []SpanRecord {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var out []SpanRecord
-	if t.full {
-		out = make([]SpanRecord, 0, len(t.buf))
-		out = append(out, t.buf[t.next:]...)
-		out = append(out, t.buf[:t.next]...)
-	} else {
-		out = append(out, t.buf[:t.next]...)
-	}
-	// Clear so drained spans are not retained by the ring.
-	for i := range t.buf {
-		t.buf[i] = SpanRecord{}
-	}
-	t.next = 0
-	t.full = false
-	return out
 }
 
 // StartRoot begins a root span on the default tracer.
@@ -237,16 +181,4 @@ func SpanFrom(ctx context.Context) *Span {
 func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	sp := defaultTracer.StartChild(SpanFrom(ctx), name)
 	return WithSpan(ctx, sp), sp
-}
-
-// WriteJSONL writes one span per line as compact JSON.
-func WriteJSONL(w io.Writer, spans []SpanRecord) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for i := range spans {
-		if err := enc.Encode(&spans[i]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }

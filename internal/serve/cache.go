@@ -57,8 +57,8 @@ func NewQuietCache(capacity int) *Cache {
 	return c
 }
 
-// Get returns the cached value for k, refreshing its recency. The hit/miss
-// counter pair records every lookup.
+// Get returns the cached value for k, refreshing its recency. Every lookup
+// records a hit or a miss in cspd.cache.outcome.
 func (c *Cache) Get(k CacheKey) (any, bool) {
 	if c == nil {
 		return nil, false
@@ -68,14 +68,12 @@ func (c *Cache) Get(k CacheKey) (any, bool) {
 	el, ok := c.entries[k]
 	if !ok {
 		if !c.quiet {
-			obsCacheMiss.Inc()
 			obsCacheOutcome.Inc("miss")
 		}
 		return nil, false
 	}
 	c.order.MoveToFront(el)
 	if !c.quiet {
-		obsCacheHits.Inc()
 		obsCacheOutcome.Inc("hit")
 	}
 	return el.Value.(*cacheEntry).val, true
@@ -100,7 +98,6 @@ func (c *Cache) Add(k CacheKey, v any) {
 		c.order.Remove(oldest)
 		delete(c.entries, oldest.Value.(*cacheEntry).key)
 		if !c.quiet {
-			obsCacheEvict.Inc()
 			obsCacheOutcome.Inc("evict")
 		}
 	}

@@ -22,18 +22,14 @@ import "csdb/internal/obs"
 
 // Registry names. Queue depth is a live gauge; queue wait is observed once
 // per queued acquisition (shed and fast-path acquisitions never queue). The
-// labeled pair is the PR-8 RED layer: cspd.admit.wait_ns carries every
+// labeled pair is the RED layer: cspd.admit.wait_ns carries every
 // acquisition (outcome fast|queued, so the fast-path share is visible) and
-// cspd.cache.outcome is the one-stop cache counter (outcome hit|miss|evict)
-// behind csptop's hit-rate line; the unlabeled metrics stay for the PR-5
-// JSON schema.
+// cspd.cache.outcome is the one cache counter (outcome hit|miss|evict)
+// behind csptop's hit-rate line.
 var (
 	obsQueueDepth   = obs.NewGauge("cspd.admit.queue_depth")
 	obsQueueWait    = obs.NewHistogram("cspd.admit.queue_wait_ns")
 	obsShed         = obs.NewCounter("cspd.admit.shed")
-	obsCacheHits    = obs.NewCounter("cspd.cache.hits")
-	obsCacheMiss    = obs.NewCounter("cspd.cache.misses")
-	obsCacheEvict   = obs.NewCounter("cspd.cache.evictions")
 	obsWaitNs       = obs.NewHistogramVec("cspd.admit.wait_ns", "outcome")
 	obsCacheOutcome = obs.NewCounterVec("cspd.cache.outcome", "outcome")
 )
