@@ -58,10 +58,11 @@ race:
 race-engine:
 	$(GO) test -race -count=1 ./internal/csp/ ./internal/consistency/ ./internal/relation/
 
-# The relational kernel and its main consumer, with the parallel hash join
-# enabled — the acceptance gate for the integer-coded kernel.
+# The relational kernel, its main consumer (with the parallel hash join
+# enabled) and structure, whose interpretations share the kernel's tuple
+# store — the acceptance gate for the integer-coded kernel.
 race-kernel:
-	$(GO) test -race -count=1 ./internal/relation/ ./internal/hypergraph/
+	$(GO) test -race -count=1 ./internal/relation/ ./internal/hypergraph/ ./internal/structure/
 
 # The observability layer and every binary that records or consumes it: the
 # registry, tracer and event ring are written to by every solver goroutine,

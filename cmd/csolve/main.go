@@ -178,10 +178,7 @@ func run(w io.Writer, cfg config) (err error) {
 			return err
 		}
 		ev.Strategy = "count"
-		ev.Verdict = obs.VerdictUnsat
-		if n.Sign() > 0 {
-			ev.Verdict = obs.VerdictSat
-		}
+		ev.Verdict = obs.Verdict(n.Sign() > 0, false)
 		fmt.Fprintf(w, "%v solution(s)\n", n)
 		return nil
 	}
@@ -192,7 +189,7 @@ func run(w io.Writer, cfg config) (err error) {
 			return true
 		})
 		ev.Strategy = "enumerate"
-		ev.Verdict = eventVerdict(count > 0, false)
+		ev.Verdict = obs.Verdict(count > 0, false)
 		fmt.Fprintf(w, "%d solution(s)\n", count)
 		return nil
 	}
@@ -203,7 +200,7 @@ func run(w io.Writer, cfg config) (err error) {
 		ev.Route = out.Route.String()
 	}
 	ev.Winner = out.Winner
-	ev.Verdict = eventVerdict(out.Found, out.Aborted)
+	ev.Verdict = obs.Verdict(out.Found, out.Aborted)
 	fillEventStats(ev, out.Stats)
 	switch {
 	case out.Found:
@@ -223,17 +220,6 @@ func formatSolution(inst *csp.Instance, sol []int) string {
 		parts[v] = fmt.Sprintf("%s=%d", inst.VarName(v), val)
 	}
 	return strings.Join(parts, " ")
-}
-
-// eventVerdict maps a solver outcome onto the wide-event verdict set.
-func eventVerdict(found, aborted bool) string {
-	switch {
-	case aborted:
-		return obs.VerdictUnknown
-	case found:
-		return obs.VerdictSat
-	}
-	return obs.VerdictUnsat
 }
 
 // fillEventStats copies the engine effort counters into the wide event.

@@ -433,14 +433,7 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	ev.Backtracks = resp.Stats.Backtracks
 	ev.Restarts = resp.Stats.Restarts
 	ev.Nogoods = resp.Stats.NogoodsRecorded
-	switch {
-	case resp.Aborted:
-		ev.Verdict = obs.VerdictUnknown
-	case resp.Found:
-		ev.Verdict = obs.VerdictSat
-	default:
-		ev.Verdict = obs.VerdictUnsat
-	}
+	ev.Verdict = obs.Verdict(resp.Found, resp.Aborted)
 	if resp.Cached {
 		root.SetInt("cached", 1)
 	}

@@ -8,9 +8,11 @@ import (
 // arenaretain: row slices handed out by the relational kernel's arena
 // accessors must not be stored anywhere that outlives the call.
 //
-// The integer-coded kernel stores all rows of a relation in one flat value
-// array; Relation.Tuples and Relation.SortedTuples (and csp.Table.Tuples,
-// which shares the discipline) hand out views into that storage. A view
+// The integer-coded kernel stores all rows of a tuple set in one flat value
+// array (relation.Set, the store behind Relation, csp.Table and
+// structure.Interp); Relation.Tuples, Relation.SortedTuples, Set.Tuples,
+// csp.Table.Tuples and structure.Interp.Tuples hand out views into that
+// storage. A view
 // retained across a kernel mutation aliases memory the kernel may grow or
 // rewrite — the classic stale-arena-pointer hazard. Reading a view inside
 // the call that obtained it is fine; storing it into a struct field, a
@@ -36,9 +38,13 @@ var arenaretainAnalyzer = &Analyzer{
 var arenaAccessors = map[string]map[string]map[string]bool{
 	"csdb/internal/relation": {
 		"Relation": {"Tuples": true, "SortedTuples": true},
+		"Set":      {"Tuples": true},
 	},
 	"csdb/internal/csp": {
 		"Table": {"Tuples": true},
+	},
+	"csdb/internal/structure": {
+		"Interp": {"Tuples": true},
 	},
 }
 

@@ -6,6 +6,7 @@ package arenaretaintest
 import (
 	"csdb/internal/csp"
 	"csdb/internal/relation"
+	"csdb/internal/structure"
 )
 
 type cache struct {
@@ -58,6 +59,20 @@ type tableCache struct{ tuples [][]int }
 
 func badTableField(c *tableCache, t *csp.Table) {
 	c.tuples = t.Tuples()
+}
+
+// badInterpField: structure.Interp.Tuples views the same store. (true
+// positive)
+func badInterpField(c *tableCache, s *structure.Structure) {
+	c.tuples = s.Rel("E").Tuples()
+}
+
+// goodInterpLen: an Interp accessor that returns no view may be stored.
+// (near-miss negative: same receiver and target as badInterpField)
+type sizeCache struct{ n int }
+
+func goodInterpLen(c *sizeCache, s *structure.Structure) {
+	c.n = s.Rel("E").Len()
 }
 
 // goodLocalUse: reading a view inside the call is the accessor's intended

@@ -293,19 +293,10 @@ func (rt *Router) route(ctx context.Context, hash uint64, rawQuery string, strat
 		switch {
 		case reply.status != http.StatusOK:
 			ev.Verdict, ev.Cause = obs.VerdictError, "upstream_"+strconv.Itoa(reply.status)
-		case nr.Aborted:
-			ev.Verdict = obs.VerdictUnknown
-		case nr.Found:
-			ev.Verdict = obs.VerdictSat
+		case nr.Cached:
+			ev.Verdict, ev.Cache = obs.Verdict(nr.Found, nr.Aborted), obs.CacheHit
 		default:
-			ev.Verdict = obs.VerdictUnsat
-		}
-		if reply.status == http.StatusOK {
-			if nr.Cached {
-				ev.Cache = obs.CacheHit
-			} else {
-				ev.Cache = obs.CacheMiss
-			}
+			ev.Verdict, ev.Cache = obs.Verdict(nr.Found, nr.Aborted), obs.CacheMiss
 		}
 	case haveShed:
 		// Every attempted replica shed: the set is saturated. Propagate the

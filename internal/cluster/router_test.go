@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"csdb/internal/cspio"
 	"csdb/internal/obs"
 )
 
@@ -66,12 +67,24 @@ func TestRouterFailover(t *testing.T) {
 	ts := routerServer(t, rt)
 	backends[1].ts.Close()
 
+	// At least 12 items, and at least one whose primary is the dead replica:
+	// ring placement depends on the test servers' ports, and a batch that
+	// never routes to the dead replica never exercises the failover.
 	const items = 12
 	var req struct {
 		Items []batchItem `json:"items"`
 	}
-	for i := 0; i < items; i++ {
+	toDead := false
+	for i := 0; i < 32 && (len(req.Items) < items || !toDead); i++ {
+		p, err := cspio.Parse(strings.NewReader(clusterInstance(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		toDead = toDead || rt.ring.Primary(cspio.CanonicalHash(p)) == 1
 		req.Items = append(req.Items, batchItem{Instance: clusterInstance(i), Strategy: "mac"})
+	}
+	if !toDead {
+		t.Fatal("no instance has the dead replica as its primary")
 	}
 	payload, _ := json.Marshal(req)
 	resp, err := http.Post(ts.URL+"/solve/batch", "application/json", bytes.NewReader(payload))
@@ -86,8 +99,8 @@ func TestRouterFailover(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Items) != items {
-		t.Fatalf("batch returned %d items, want %d", len(out.Items), items)
+	if len(out.Items) != len(req.Items) {
+		t.Fatalf("batch returned %d items, want %d", len(out.Items), len(req.Items))
 	}
 	dead := backends[1].ts.URL
 	for _, it := range out.Items {

@@ -15,20 +15,20 @@ package csp
 
 import (
 	"fmt"
-	"strconv"
+	"sort"
 	"strings"
+
+	"csdb/internal/relation"
 )
 
 // Table is a finite relation over values: the R of a constraint (t, R).
-// Tables are deduplicated sets of tuples with O(1) membership. Membership
-// uses an integer-hash index (FNV-1a over the values, collisions chained
-// through next and verified against the stored rows), mirroring the
-// allocation-free lookup discipline of internal/relation.
+// Tables are deduplicated sets of tuples with O(1) membership. A Table is a
+// relation.Set, the tuple store shared with relation.Relation and
+// structure.Interp: Add keeps the index and the row views current, so a
+// built table is never mutated by a read and may be read from many
+// goroutines at once (the portfolio's lanes all read one instance).
 type Table struct {
-	arity  int
-	tuples [][]int
-	index  map[uint64]int32 // row hash -> most recent row id with that hash
-	next   []int32          // per-row chain to earlier same-hash rows; -1 ends
+	set relation.Set
 }
 
 // NewTable creates an empty table of the given arity (>= 1).
@@ -36,51 +36,13 @@ func NewTable(arity int) *Table {
 	if arity < 1 {
 		panic(fmt.Sprintf("csp: table arity %d", arity))
 	}
-	return &Table{arity: arity, index: make(map[uint64]int32)}
-}
-
-// FNV-1a over machine words; see internal/relation for the rationale
-// (collisions are verified, the runtime re-hashes the uint64 key).
-const (
-	tableFNVOffset = 14695981039346656037
-	tableFNVPrime  = 1099511628211
-)
-
-func tableHash(row []int) uint64 {
-	h := uint64(tableFNVOffset)
-	for _, v := range row {
-		h ^= uint64(v)
-		h *= tableFNVPrime
-	}
-	return h
-}
-
-// find returns the id of the stored row equal to row, or -1.
-func (t *Table) find(row []int, h uint64) int32 {
-	id, ok := t.index[h]
-	if !ok {
-		return -1
-	}
-	for id >= 0 {
-		stored := t.tuples[id]
-		eq := true
-		for i, v := range row {
-			if stored[i] != v {
-				eq = false
-				break
-			}
-		}
-		if eq {
-			return id
-		}
-		id = t.next[id]
-	}
-	return -1
+	return &Table{set: relation.MakeSet(arity)}
 }
 
 // TableOf builds a table from rows; all rows must share the given arity.
 func TableOf(arity int, rows ...[]int) *Table {
 	t := NewTable(arity)
+	t.Grow(len(rows))
 	for _, r := range rows {
 		t.Add(r)
 	}
@@ -88,70 +50,46 @@ func TableOf(arity int, rows ...[]int) *Table {
 }
 
 // Arity returns the table's arity.
-func (t *Table) Arity() int { return t.arity }
+func (t *Table) Arity() int { return t.set.Arity() }
 
 // Len returns the number of tuples.
-func (t *Table) Len() int { return len(t.tuples) }
+func (t *Table) Len() int { return t.set.Len() }
 
-// Tuples returns the tuples. Do not modify.
-func (t *Table) Tuples() [][]int { return t.tuples }
+// Tuples returns the tuples, as views into the table's storage. Do not
+// modify.
+func (t *Table) Tuples() [][]int { return t.set.Tuples() }
+
+// Grow reserves room for n more tuples. It is a hint only.
+func (t *Table) Grow(n int) { t.set.Grow(n) }
 
 // Add inserts a tuple (copied); duplicates are ignored. It panics on arity
 // mismatch, which is a programming error.
-func (t *Table) Add(row []int) {
-	if len(row) != t.arity {
-		panic(fmt.Sprintf("csp: tuple arity %d for table arity %d", len(row), t.arity))
-	}
-	h := tableHash(row)
-	if t.find(row, h) >= 0 {
-		return
-	}
-	c := make([]int, len(row))
-	copy(c, row)
-	prev, ok := t.index[h]
-	if !ok {
-		prev = -1
-	}
-	t.next = append(t.next, prev)
-	t.index[h] = int32(len(t.tuples))
-	t.tuples = append(t.tuples, c)
-}
+func (t *Table) Add(row []int) { t.set.Add(row) }
 
 // Has reports whether row is in the table.
-func (t *Table) Has(row []int) bool {
-	if len(row) != t.arity {
-		return false
-	}
-	return t.find(row, tableHash(row)) >= 0
-}
+func (t *Table) Has(row []int) bool { return t.set.Contains(row) }
 
 // Clone returns a deep copy.
-func (t *Table) Clone() *Table {
-	c := NewTable(t.arity)
-	for _, r := range t.tuples {
-		c.Add(r)
-	}
-	return c
-}
+func (t *Table) Clone() *Table { return &Table{set: t.set.Clone()} }
 
 // Key returns a canonical content key: arity plus the sorted tuple keys.
 // Two tables with the same key contain exactly the same tuples.
 func (t *Table) Key() string {
-	keys := make([]string, 0, len(t.tuples))
-	for _, row := range t.tuples {
+	keys := make([]string, 0, t.Len())
+	for _, row := range t.Tuples() {
 		keys = append(keys, rowKey(row))
 	}
-	sortStrings(keys)
-	return fmt.Sprintf("%d|%s", t.arity, strings.Join(keys, ";"))
+	sort.Strings(keys)
+	return fmt.Sprintf("%d|%s", t.Arity(), strings.Join(keys, ";"))
 }
 
 // Intersect returns the table containing the tuples present in both t and u.
 func (t *Table) Intersect(u *Table) (*Table, error) {
-	if t.arity != u.arity {
-		return nil, fmt.Errorf("csp: intersecting tables of arity %d and %d", t.arity, u.arity)
+	if t.Arity() != u.Arity() {
+		return nil, fmt.Errorf("csp: intersecting tables of arity %d and %d", t.Arity(), u.Arity())
 	}
-	out := NewTable(t.arity)
-	for _, r := range t.tuples {
+	out := NewTable(t.Arity())
+	for _, r := range t.Tuples() {
 		if u.Has(r) {
 			out.Add(r)
 		}
@@ -160,24 +98,7 @@ func (t *Table) Intersect(u *Table) (*Table, error) {
 }
 
 func rowKey(row []int) string {
-	b := make([]byte, 0, len(row)*3)
-	for i, v := range row {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendInt(b, int64(v), 10)
-	}
-	return string(b)
-}
-
-func sortStrings(s []string) {
-	// insertion sort: table counts here are small and this avoids importing
-	// sort into the hot path file... actually clarity wins:
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
+	return relation.Tuple(row).Key()
 }
 
 // Constraint is a pair (t, R): an ordered scope of variable indices and a
@@ -333,6 +254,7 @@ func dedupScope(scope []int, table *Table) ([]int, *Table) {
 		return append([]int(nil), scope...), table.Clone()
 	}
 	out := NewTable(len(keep))
+	proj := make([]int, len(keep))
 rows:
 	for _, row := range table.Tuples() {
 		for i, v := range scope {
@@ -340,7 +262,6 @@ rows:
 				continue rows // disagrees on a repeated variable
 			}
 		}
-		proj := make([]int, len(keep))
 		for j, i := range keep {
 			proj[j] = row[i]
 		}

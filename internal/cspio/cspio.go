@@ -19,6 +19,7 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"csdb/internal/csp"
 	"csdb/internal/graph"
@@ -27,16 +28,13 @@ import (
 // Parse reads an instance in the text format.
 func Parse(r io.Reader) (*csp.Instance, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	sc.Buffer(nil, 1<<24) // grows from 4 KiB as long lines need
 	var inst *csp.Instance
 	vars, dom := -1, -1
 	var names []string
 	domains := map[int][]int{}
-	type rawCon struct {
-		scope []int
-		rows  [][]int
-	}
-	var cons []rawCon
+	var cons []csp.Constraint
+	var row []int // one parse buffer for every tuple; Table.Add copies
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -47,71 +45,73 @@ func Parse(r io.Reader) (*csp.Instance, error) {
 		if line == "" {
 			continue
 		}
-		fields := strings.Fields(line)
-		switch fields[0] {
-		case "vars":
+		head := line
+		if i := strings.IndexFunc(line, unicode.IsSpace); i >= 0 {
+			head = line[:i]
+		}
+		switch head {
+		case "vars", "dom":
+			fields := strings.Fields(line)
 			if len(fields) != 2 {
-				return nil, fmt.Errorf("cspio: line %d: vars needs one argument", lineNo)
+				return nil, fmt.Errorf("cspio: line %d: %s needs one argument", lineNo, head)
 			}
 			v, err := strconv.Atoi(fields[1])
-			if err != nil || v < 0 {
-				return nil, fmt.Errorf("cspio: line %d: bad vars %q", lineNo, fields[1])
+			if err != nil || v < 0 || (head == "dom" && v < 1) {
+				return nil, fmt.Errorf("cspio: line %d: bad %s %q", lineNo, head, fields[1])
 			}
-			vars = v
-		case "dom":
-			if len(fields) != 2 {
-				return nil, fmt.Errorf("cspio: line %d: dom needs one argument", lineNo)
+			if head == "vars" {
+				vars = v
+			} else {
+				dom = v
 			}
-			d, err := strconv.Atoi(fields[1])
-			if err != nil || d < 1 {
-				return nil, fmt.Errorf("cspio: line %d: bad dom %q", lineNo, fields[1])
-			}
-			dom = d
 		case "names":
-			names = fields[1:]
+			names = strings.Fields(line)[1:]
 		case "con":
 			rest := strings.TrimPrefix(line, "con")
 			parts := strings.SplitN(rest, ":", 2)
 			if len(parts) != 2 {
 				return nil, fmt.Errorf("cspio: line %d: con needs 'scope : tuples'", lineNo)
 			}
-			scope, err := parseInts(parts[0])
+			scope, err := parseInts(nil, parts[0])
 			if err != nil {
 				return nil, fmt.Errorf("cspio: line %d: %v", lineNo, err)
 			}
-			var rows [][]int
+			tab := csp.NewTable(len(scope))
+			// Reserve one row per '|'-separated field, but no more than the
+			// line can hold (a tuple takes at least 2·arity bytes), so a
+			// line of empty fields cannot reserve more than its own size.
+			tab.Grow(min(strings.Count(parts[1], "|")+1, (len(parts[1])+1)/(2*len(scope))))
 			for _, tup := range strings.Split(parts[1], "|") {
 				tup = strings.TrimSpace(tup)
 				if tup == "" {
 					continue
 				}
-				row, err := parseInts(tup)
-				if err != nil {
+				if row, err = parseInts(row[:0], tup); err != nil {
 					return nil, fmt.Errorf("cspio: line %d: %v", lineNo, err)
 				}
 				if len(row) != len(scope) {
 					return nil, fmt.Errorf("cspio: line %d: tuple arity %d for scope of %d", lineNo, len(row), len(scope))
 				}
-				rows = append(rows, row)
+				tab.Add(row)
 			}
-			cons = append(cons, rawCon{scope, rows})
+			cons = append(cons, csp.Constraint{Scope: scope, Table: tab})
 		case "dom_of":
 			rest := strings.TrimPrefix(line, "dom_of")
 			parts := strings.SplitN(rest, ":", 2)
 			if len(parts) != 2 {
 				return nil, fmt.Errorf("cspio: line %d: dom_of needs 'var : values'", lineNo)
 			}
-			vs, err := parseInts(parts[0])
+			vs, err := parseInts(nil, parts[0])
 			if err != nil || len(vs) != 1 {
 				return nil, fmt.Errorf("cspio: line %d: dom_of needs one variable", lineNo)
 			}
-			vals, err := parseInts(parts[1])
+			vals, err := parseInts(nil, parts[1])
 			if err != nil {
 				return nil, fmt.Errorf("cspio: line %d: %v", lineNo, err)
 			}
 			domains[vs[0]] = vals
 		default:
-			return nil, fmt.Errorf("cspio: line %d: unknown directive %q", lineNo, fields[0])
+			return nil, fmt.Errorf("cspio: line %d: unknown directive %q", lineNo, head)
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -137,11 +137,7 @@ func Parse(r io.Reader) (*csp.Instance, error) {
 		}
 	}
 	for _, c := range cons {
-		tab := csp.NewTable(len(c.scope))
-		for _, row := range c.rows {
-			tab.Add(row)
-		}
-		if err := inst.AddConstraint(c.scope, tab); err != nil {
+		if err := inst.AddConstraint(c.Scope, c.Table); err != nil {
 			return nil, fmt.Errorf("cspio: %v", err)
 		}
 	}
@@ -183,7 +179,7 @@ func Format(w io.Writer, p *csp.Instance) error {
 // ParseDIMACS reads a DIMACS "edge" graph.
 func ParseDIMACS(r io.Reader) (*graph.Graph, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	sc.Buffer(nil, 1<<24) // grows from 4 KiB as long lines need
 	var g *graph.Graph
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -227,17 +223,30 @@ func ParseDIMACS(r io.Reader) (*graph.Graph, error) {
 	return g, nil
 }
 
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Fields(s) {
+// parseInts appends the whitespace-separated integers of s to dst, which
+// may be a reused buffer.
+func parseInts(dst []int, s string) ([]int, error) {
+	out := dst
+	for {
+		// strings.Fields without its per-call slice.
+		s = strings.TrimLeftFunc(s, unicode.IsSpace)
+		if s == "" {
+			break
+		}
+		f := s
+		if i := strings.IndexFunc(s, unicode.IsSpace); i >= 0 {
+			f, s = s[:i], s[i:]
+		} else {
+			s = ""
+		}
 		v, err := strconv.Atoi(f)
 		if err != nil {
-			return nil, fmt.Errorf("bad integer %q", f)
+			return dst, fmt.Errorf("bad integer %q", f)
 		}
 		out = append(out, v)
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty integer list")
+	if len(out) == len(dst) {
+		return dst, fmt.Errorf("empty integer list")
 	}
 	return out, nil
 }

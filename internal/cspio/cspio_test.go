@@ -2,7 +2,9 @@ package cspio
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -111,5 +113,33 @@ e 3 4
 		if _, err := ParseDIMACS(strings.NewReader(b)); err == nil {
 			t.Fatalf("accepted %q", b)
 		}
+	}
+}
+
+// TestParseReservationBoundedByLine pins the parser's row reservation to the
+// size of the line: a wide scope followed by thousands of empty tuple fields
+// holds no tuples, so it must not reserve fields×arity values up front.
+func TestParseReservationBoundedByLine(t *testing.T) {
+	const arity, fields = 2000, 10000
+	var b strings.Builder
+	fmt.Fprintf(&b, "vars %d\ndom 1\ncon", arity)
+	for v := 0; v < arity; v++ {
+		fmt.Fprintf(&b, " %d", v)
+	}
+	b.WriteString(" : " + strings.Repeat("|", fields) + "\n")
+	input := b.String()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p, err := Parse(strings.NewReader(input))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := p.Constraints[0].Table.Len(); n != 0 {
+		t.Fatalf("%d tuples parsed from empty fields", n)
+	}
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*len(input)); got > limit {
+		t.Fatalf("parsing a %d-byte instance allocated %d bytes (limit %d)", len(input), got, limit)
 	}
 }

@@ -5,7 +5,10 @@
 // Section 4), and connected components.
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
 // Graph is a simple undirected graph on vertices 0..N-1. Self-loops are
 // permitted (a loop makes every H-coloring problem trivial) but parallel
@@ -59,12 +62,13 @@ func (g *Graph) HasLoop() bool {
 // Degree returns the degree of v (loops count once).
 func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
 
-// Neighbors returns the neighbors of v in unspecified order.
+// Neighbors returns the neighbors of v in increasing order.
 func (g *Graph) Neighbors(v int) []int {
 	out := make([]int, 0, len(g.adj[v]))
 	for u := range g.adj[v] {
 		out = append(out, u)
 	}
+	sort.Ints(out)
 	return out
 }
 
@@ -81,11 +85,13 @@ func (g *Graph) NumEdges() int {
 	return total
 }
 
-// Edges returns all undirected edges as (u,v) pairs with u <= v.
+// Edges returns all undirected edges as (u,v) pairs with u <= v, sorted by
+// (u,v), so seeded generators that walk them draw the same instance every
+// run.
 func (g *Graph) Edges() [][2]int {
 	out := make([][2]int, 0, g.NumEdges())
 	for v := 0; v < g.n; v++ {
-		for u := range g.adj[v] {
+		for _, u := range g.Neighbors(v) {
 			if u >= v {
 				out = append(out, [2]int{v, u})
 			}

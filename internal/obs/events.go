@@ -26,6 +26,18 @@ const (
 	VerdictError   = "error"   // request never reached a solver verdict
 )
 
+// Verdict maps a solver outcome onto the verdict set: an aborted search is
+// unknown whatever it found, otherwise the verdict is sat or unsat.
+func Verdict(found, aborted bool) string {
+	switch {
+	case aborted:
+		return VerdictUnknown
+	case found:
+		return VerdictSat
+	}
+	return VerdictUnsat
+}
+
 // Cache outcomes of a SolveEvent.
 const (
 	CacheHit      = "hit"      // replayed from the canonical result cache

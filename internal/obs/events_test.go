@@ -120,3 +120,19 @@ func TestEventRingConcurrent(t *testing.T) {
 		t.Fatalf("drained+dropped = %d, want 800", got)
 	}
 }
+
+func TestVerdict(t *testing.T) {
+	for _, c := range []struct {
+		found, aborted bool
+		want           string
+	}{
+		{true, false, VerdictSat},
+		{false, false, VerdictUnsat},
+		{false, true, VerdictUnknown},
+		{true, true, VerdictUnknown}, // an aborted search proves nothing
+	} {
+		if got := Verdict(c.found, c.aborted); got != c.want {
+			t.Errorf("Verdict(%v, %v) = %q, want %q", c.found, c.aborted, got, c.want)
+		}
+	}
+}

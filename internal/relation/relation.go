@@ -12,15 +12,14 @@
 //
 // # Kernel layout
 //
-// Tuples are stored in a single flat row-major []int value array; a Tuple
+// A relation's tuples live in its embedded Set, the library's one tuple
+// store (csp.Table and structure.Interp wrap the same type): a single flat
+// row-major []int value array with an integer-hash membership index. A Tuple
 // handed out by Tuples, Rows or SortedTuples is a view into (a copy of) that
-// array. Membership is an integer-hash index: a map from the FNV-1a hash of
-// a row to the most recently inserted row with that hash, chained through a
-// per-row next array, so lookups allocate nothing and hash collisions are
-// resolved by comparing the stored values. Operator results that are
-// provably duplicate-free (join, semijoin, selection, intersection of
-// set-semantic inputs) are emitted without touching the index at all; the
-// index is materialized lazily on the first membership query.
+// array. Operator results that are provably duplicate-free (join, semijoin,
+// selection, intersection of set-semantic inputs) are emitted without
+// touching the index at all; the index is materialized lazily on the first
+// membership query.
 //
 // A relation may be read concurrently, but the lazy index build means the
 // first Contains/Add/Equal/Intersect call on an operator result mutates the
@@ -74,54 +73,15 @@ func (t Tuple) Clone() Tuple {
 	return c
 }
 
-// FNV-1a over machine words. Distribution across map buckets is handled by
-// the runtime's own hashing of the uint64 key, and equality of colliding
-// rows is always verified against the stored values, so word-wise (rather
-// than byte-wise) folding is safe.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-// hashVals hashes a full row.
-func hashVals(vals []int) uint64 {
-	h := uint64(fnvOffset64)
-	for _, v := range vals {
-		h ^= uint64(v)
-		h *= fnvPrime64
-	}
-	return h
-}
-
-// hashRowCols hashes the projection of the row starting at base in data onto
-// the given column offsets.
-func hashRowCols(data []int, base int, cols []int) uint64 {
-	h := uint64(fnvOffset64)
-	for _, c := range cols {
-		h ^= uint64(data[base+c])
-		h *= fnvPrime64
-	}
-	return h
-}
-
 // Relation is a finite relation over a named list of attributes.
 // The attribute order is significant for tuple layout but natural join and
 // set operations are attribute-name driven.
 type Relation struct {
+	Set   // the rows; its index is built lazily (see the package comment)
 	attrs []string
 	pos   map[string]int // attribute name -> column index
-	k     int            // arity
-	n     int            // row count
-	data  []int          // flat row-major values, len == n*k
 	rows  []Tuple        // cached row views; rebuilt when len(rows) != n
-
-	// Membership index, built lazily: index maps a row hash to the most
-	// recently inserted row id with that hash; next chains to the previous
-	// one (-1 terminates). No per-row allocations, collisions verified.
-	index map[uint64]int32
-	next  []int32
-
-	stats []int // cached per-column distinct counts; nil when stale
+	stats []int          // cached per-column distinct counts; nil when stale
 }
 
 // New creates a relation with the given attributes and no tuples.
@@ -138,9 +98,9 @@ func New(attrs ...string) (*Relation, error) {
 		pos[a] = i
 	}
 	return &Relation{
+		Set:   MakeSet(len(attrs)),
 		attrs: append([]string(nil), attrs...),
 		pos:   pos,
-		k:     len(attrs),
 	}, nil
 }
 
@@ -181,20 +141,8 @@ func MustFromTuples(attrs []string, rows []Tuple) *Relation {
 // The returned slice must not be modified.
 func (r *Relation) Attrs() []string { return r.attrs }
 
-// Arity returns the number of attributes.
-func (r *Relation) Arity() int { return r.k }
-
-// Len returns the number of tuples.
-func (r *Relation) Len() int { return r.n }
-
 // Empty reports whether the relation has no tuples.
 func (r *Relation) Empty() bool { return r.n == 0 }
-
-// row returns a view of row i into the flat value array.
-func (r *Relation) row(i int) Tuple {
-	off := i * r.k
-	return Tuple(r.data[off : off+r.k : off+r.k])
-}
 
 // Tuples returns the relation's rows as views into the relation's storage.
 // The returned slice and its tuples must not be modified: writing through a
@@ -240,101 +188,14 @@ func (r *Relation) Pos(name string) int {
 	return -1
 }
 
-// Grow reserves capacity for n additional rows, sizing both the value array
-// and (if already built) the membership index. It is a hint only.
-func (r *Relation) Grow(n int) {
-	if n <= 0 {
-		return
-	}
-	need := (r.n + n) * r.k
-	if cap(r.data) < need {
-		grown := make([]int, len(r.data), need)
-		copy(grown, r.data)
-		r.data = grown
-	}
-	if r.next != nil && cap(r.next) < r.n+n {
-		grownNext := make([]int32, len(r.next), r.n+n)
-		copy(grownNext, r.next)
-		r.next = grownNext
-	}
-}
-
-// ensureIndex materializes the membership index. Mutates the receiver: see
-// the package comment for the concurrency contract.
-func (r *Relation) ensureIndex() {
-	if r.index != nil {
-		return
-	}
-	r.index = make(map[uint64]int32, r.n)
-	r.next = make([]int32, 0, r.n)
-	for i := 0; i < r.n; i++ {
-		h := hashVals(r.row(i))
-		prev, ok := r.index[h]
-		if !ok {
-			prev = -1
-		}
-		r.next = append(r.next, prev)
-		r.index[h] = int32(i)
-	}
-}
-
-// lookup returns the id of the row equal to vals, or -1. The index must be
-// built.
-func (r *Relation) lookup(vals []int, h uint64) int32 {
-	id, ok := r.index[h]
-	if !ok {
-		return -1
-	}
-	for id >= 0 {
-		base := int(id) * r.k
-		eq := true
-		for c, v := range vals {
-			if r.data[base+c] != v {
-				eq = false
-				break
-			}
-		}
-		if eq {
-			return id
-		}
-		id = r.next[id]
-	}
-	return -1
-}
-
-// appendIndexed appends a row known to be absent and records it in the
-// (built) index.
-func (r *Relation) appendIndexed(vals []int, h uint64) {
-	r.data = append(r.data, vals...)
-	prev, ok := r.index[h]
-	if !ok {
-		prev = -1
-	}
-	r.next = append(r.next, prev)
-	r.index[h] = int32(r.n)
-	r.n++
-	r.stats = nil
-}
-
-// appendUnique appends a row that the caller guarantees is distinct from all
-// stored rows (set-semantics preserved by construction). Only legal while
-// the index is unbuilt.
-func (r *Relation) appendUnique(vals []int) {
-	r.data = append(r.data, vals...)
-	r.n++
-}
-
 // Add inserts a tuple. Duplicates are silently ignored.
 func (r *Relation) Add(t Tuple) error {
 	if len(t) != r.k {
 		return fmt.Errorf("relation: tuple arity %d does not match schema arity %d", len(t), r.k)
 	}
-	r.ensureIndex()
-	h := hashVals(t)
-	if r.lookup(t, h) >= 0 {
-		return nil
+	if r.insert(t) {
+		r.stats = nil
 	}
-	r.appendIndexed(t, h)
 	return nil
 }
 
@@ -343,15 +204,6 @@ func (r *Relation) MustAdd(t Tuple) {
 	if err := r.Add(t); err != nil {
 		panic(err)
 	}
-}
-
-// Contains reports whether the tuple is a member of the relation.
-func (r *Relation) Contains(t Tuple) bool {
-	if len(t) != r.k || r.n == 0 {
-		return false
-	}
-	r.ensureIndex()
-	return r.lookup(t, hashVals(t)) >= 0
 }
 
 // Clone returns a deep copy of the relation.

@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"csdb/internal/relation"
 )
 
 // Symbol is a relation symbol of a relational vocabulary: a name and an arity.
@@ -103,91 +105,30 @@ func (v *Vocabulary) Clone() *Vocabulary {
 }
 
 // Interp is the interpretation of one relation symbol in a structure: a set
-// of tuples over the structure's domain. Membership uses an integer-hash
-// index (FNV-1a over the values, collisions chained through next and
-// verified against stored tuples) so homomorphism checks — which call Has
-// once per tuple per candidate map — allocate nothing per lookup.
+// of tuples over the structure's domain. It is a relation.Set, the tuple
+// store shared with relation.Relation and csp.Table, so homomorphism checks
+// — which call Has once per tuple per candidate map — allocate nothing per
+// lookup, and a built structure may be read from many goroutines at once.
 type Interp struct {
-	arity  int
-	tuples [][]int
-	index  map[uint64]int32 // tuple hash -> most recent tuple id
-	next   []int32          // chains earlier same-hash tuples; -1 ends
+	set relation.Set
 }
 
 func newInterp(arity int) *Interp {
-	return &Interp{arity: arity, index: make(map[uint64]int32)}
-}
-
-const (
-	interpFNVOffset = 14695981039346656037
-	interpFNVPrime  = 1099511628211
-)
-
-func interpHash(t []int) uint64 {
-	h := uint64(interpFNVOffset)
-	for _, v := range t {
-		h ^= uint64(v)
-		h *= interpFNVPrime
-	}
-	return h
-}
-
-// find returns the id of the stored tuple equal to t, or -1.
-func (in *Interp) find(t []int, h uint64) int32 {
-	id, ok := in.index[h]
-	if !ok {
-		return -1
-	}
-	for id >= 0 {
-		stored := in.tuples[id]
-		eq := true
-		for i, v := range t {
-			if stored[i] != v {
-				eq = false
-				break
-			}
-		}
-		if eq {
-			return id
-		}
-		id = in.next[id]
-	}
-	return -1
+	return &Interp{set: relation.MakeSet(arity)}
 }
 
 // Arity returns the arity of the interpreted symbol.
-func (in *Interp) Arity() int { return in.arity }
+func (in *Interp) Arity() int { return in.set.Arity() }
 
-// Tuples returns the tuple list. Do not modify the returned slices.
-func (in *Interp) Tuples() [][]int { return in.tuples }
+// Tuples returns the tuple list, as views into the interpretation's storage.
+// Do not modify the returned slices.
+func (in *Interp) Tuples() [][]int { return in.set.Tuples() }
 
 // Len returns the number of tuples.
-func (in *Interp) Len() int { return len(in.tuples) }
+func (in *Interp) Len() int { return in.set.Len() }
 
 // Has reports whether the tuple is in the interpretation.
-func (in *Interp) Has(t []int) bool {
-	if len(t) != in.arity {
-		return false
-	}
-	return in.find(t, interpHash(t)) >= 0
-}
-
-func (in *Interp) add(t []int) bool {
-	h := interpHash(t)
-	if in.find(t, h) >= 0 {
-		return false
-	}
-	c := make([]int, len(t))
-	copy(c, t)
-	prev, ok := in.index[h]
-	if !ok {
-		prev = -1
-	}
-	in.next = append(in.next, prev)
-	in.index[h] = int32(len(in.tuples))
-	in.tuples = append(in.tuples, c)
-	return true
-}
+func (in *Interp) Has(t []int) bool { return in.set.Contains(t) }
 
 // Structure is a finite relational structure: a domain {0..N-1}, a
 // vocabulary, and an interpretation for each relation symbol.
@@ -252,15 +193,15 @@ func (s *Structure) AddTuple(rel string, t ...int) error {
 	if !ok {
 		return fmt.Errorf("structure: unknown relation symbol %q", rel)
 	}
-	if len(t) != in.arity {
-		return fmt.Errorf("structure: tuple arity %d for symbol %q of arity %d", len(t), rel, in.arity)
+	if len(t) != in.Arity() {
+		return fmt.Errorf("structure: tuple arity %d for symbol %q of arity %d", len(t), rel, in.Arity())
 	}
 	for _, v := range t {
 		if v < 0 || v >= s.n {
 			return fmt.Errorf("structure: element %d outside domain [0,%d)", v, s.n)
 		}
 	}
-	in.add(t)
+	in.set.Add(t)
 	return nil
 }
 
@@ -296,9 +237,7 @@ func (s *Structure) Clone() *Structure {
 		c.names = append([]string(nil), s.names...)
 	}
 	for name, in := range s.rels {
-		for _, t := range in.tuples {
-			c.rels[name].add(t)
-		}
+		c.rels[name].set = in.set.Clone()
 	}
 	return c
 }
@@ -346,7 +285,7 @@ func IsHomomorphism(a, b *Structure, h []int) bool {
 	img := make([]int, a.MaxArity())
 	for name, in := range a.rels {
 		bin := b.rels[name]
-		for _, t := range in.tuples {
+		for _, t := range in.Tuples() {
 			it := img[:len(t)]
 			for i, v := range t {
 				it[i] = h[v]
@@ -369,7 +308,7 @@ func IsPartialHomomorphism(a, b *Structure, h []int) bool {
 	for name, in := range a.rels {
 		bin := b.rels[name]
 	tuples:
-		for _, t := range in.tuples {
+		for _, t := range in.Tuples() {
 			it := img[:len(t)]
 			for i, v := range t {
 				if h[v] < 0 {
@@ -414,7 +353,7 @@ func Sum(a, b *Structure) (*Structure, error) {
 		return nil, err
 	}
 	for name, in := range a.rels {
-		for _, t := range in.tuples {
+		for _, t := range in.Tuples() {
 			if err := sum.AddTuple(name+"_1", t...); err != nil {
 				return nil, err
 			}
@@ -423,7 +362,7 @@ func Sum(a, b *Structure) (*Structure, error) {
 	shift := a.n
 	buf := make([]int, b.MaxArity())
 	for name, in := range b.rels {
-		for _, t := range in.tuples {
+		for _, t := range in.Tuples() {
 			st := buf[:len(t)]
 			for i, v := range t {
 				st[i] = v + shift
@@ -452,7 +391,7 @@ func Sum(a, b *Structure) (*Structure, error) {
 func (s *Structure) GaifmanEdges() [][2]int {
 	seen := make(map[[2]int]struct{})
 	for _, in := range s.rels {
-		for _, t := range in.tuples {
+		for _, t := range in.Tuples() {
 			for i := 0; i < len(t); i++ {
 				for j := i + 1; j < len(t); j++ {
 					u, v := t[i], t[j]
@@ -486,7 +425,7 @@ func (s *Structure) GaifmanEdges() [][2]int {
 func (s *Structure) TuplesContaining() [][]RelTuple {
 	out := make([][]RelTuple, s.n)
 	for name, in := range s.rels {
-		for _, t := range in.tuples {
+		for _, t := range in.Tuples() {
 			mentioned := make(map[int]struct{}, len(t))
 			for _, v := range t {
 				mentioned[v] = struct{}{}
