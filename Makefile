@@ -80,9 +80,10 @@ race-serve:
 # The tractability dispatcher and its differential gate: the classification
 # cache is shared across goroutines (cspd routes through one analyzer) and
 # the gate's hard-class trials race the portfolio, so the whole suite runs
-# under the detector.
+# under the detector, together with the tree and width routes' packages
+# (the acyclic route's hypergraph package runs under race-kernel).
 race-dispatch:
-	$(GO) test -race -count=1 ./internal/dispatch/
+	$(GO) test -race -count=1 ./internal/dispatch/ ./internal/consistency/ ./internal/treewidth/
 
 # The search core (bitset domains, watched supports, nogood learning) and
 # the hard-instance generators behind its differential gate: the portfolio

@@ -4,21 +4,44 @@ import (
 	"fmt"
 
 	"csdb/internal/csp"
-	"csdb/internal/graph"
 )
 
 // This file implements Freuder's classical theorem — the historical root of
 // Section 5's local-to-global consistency programme: on a tree-structured
 // binary constraint network, directional arc consistency makes backtrack-
-// free search possible. (It is also the width-1 case of Theorem 6.2.)
+// free search possible. (It is also the width-1 case of Theorem 6.2.) The
+// constraints of a forest-shaped network form a join tree, and directional
+// arc consistency is the up pass of the semijoin reducer over it, so the
+// solver is the shared join-tree engine (csp.SolveJoinTree) run on that
+// tree.
 
 // IsTreeStructured reports whether the instance is binary (all scopes have
 // at most 2 distinct variables) and its primal graph is a forest. It is a
 // pure shape check on scopes — no constraint tables are cloned or rewritten
 // — so the dispatcher can afford to call it on every instance.
 func IsTreeStructured(p *csp.Instance) bool {
-	g := graph.New(p.Vars)
-	for _, con := range p.Constraints {
+	_, ok := forestJoinTree(p)
+	return ok
+}
+
+// forestJoinTree returns a join tree over the constraints of a
+// tree-structured instance (constraint i is edge i) as a parent array, in
+// O(constraints + variables), or ok=false when the instance is not
+// tree-structured. A breadth-first search over the primal forest joins each
+// newly reached variable w through the constraint e that reached it
+// (anchor[w] = e), and hangs e below the anchor of the variable it came
+// from. A component's root variable takes the anchor of its first tree
+// constraint. Parallel and reversed constraints on an anchored pair hang
+// below the anchor, and unary constraints below their variable's anchor (an
+// isolated variable's first unary constraint roots its own tree).
+func forestJoinTree(p *csp.Instance) (parent []int, ok bool) {
+	m := len(p.Constraints)
+	// ends[2i], ends[2i+1]: constraint i's distinct variables, the second
+	// -1 for a unary scope.
+	ends := make([]int, 2*m)
+	// Incident binary constraints in CSR form: inc[at[v]:at[v+1]] for v.
+	at := make([]int, p.Vars+1)
+	for i, con := range p.Constraints {
 		a, b := -1, -1
 		for _, v := range con.Scope {
 			switch {
@@ -27,204 +50,91 @@ func IsTreeStructured(p *csp.Instance) bool {
 			case b < 0 || v == b:
 				b = v
 			default:
-				return false // a third distinct variable in one scope
+				return nil, false // a third distinct variable in one scope
 			}
 		}
-		if a >= 0 && b >= 0 {
-			g.AddEdge(a, b)
+		ends[2*i], ends[2*i+1] = a, b
+		if b >= 0 {
+			at[a+1]++
+			at[b+1]++
 		}
 	}
-	return isForest(g)
-}
-
-func isForest(g *graph.Graph) bool {
-	visited := make([]int, g.N()) // 0 unseen, 1 seen
-	parent := make([]int, g.N())
-	for i := range parent {
-		parent[i] = -1
+	for v := 1; v <= p.Vars; v++ {
+		at[v] += at[v-1]
 	}
-	for start := 0; start < g.N(); start++ {
-		if visited[start] == 1 {
+	inc := make([]int, at[p.Vars])
+	fill := append([]int(nil), at[:p.Vars]...)
+	for i := 0; i < m; i++ {
+		if a, b := ends[2*i], ends[2*i+1]; b >= 0 {
+			inc[fill[a]], inc[fill[b]] = i, i
+			fill[a]++
+			fill[b]++
+		}
+	}
+
+	parent = make([]int, m)
+	for i := range parent {
+		parent[i] = -2 // not yet placed
+	}
+	anchor, from := fill, make([]int, p.Vars) // fill is spent; reuse it
+	for v := range anchor {
+		anchor[v], from[v] = -1, -2 // from: BFS predecessor, -2 unreached
+	}
+	queue := make([]int, 0, p.Vars)
+	for r := 0; r < p.Vars; r++ {
+		if from[r] != -2 {
 			continue
 		}
-		visited[start] = 1
-		stack := []int{start}
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, u := range g.Neighbors(v) {
-				if u == v {
-					return false // self-loop: not a forest
+		from[r] = -1
+		queue = append(queue[:0], r)
+		for h := 0; h < len(queue); h++ {
+			v := queue[h]
+			for _, e := range inc[at[v]:at[v+1]] {
+				if parent[e] != -2 {
+					continue // placed from its other end
 				}
-				if u == parent[v] {
-					continue
+				w := ends[2*e]
+				if w == v {
+					w = ends[2*e+1]
 				}
-				if visited[u] == 1 {
-					return false // cross edge: cycle
+				switch from[w] {
+				case -2: // e reaches w
+					from[w], anchor[w] = v, e
+					queue = append(queue, w)
+					parent[e] = anchor[v]
+					if anchor[v] < 0 {
+						anchor[v] = e
+					}
+				case v: // parallel to the constraint that reached w
+					parent[e] = anchor[w]
+				default:
+					return nil, false // e closes a cycle
 				}
-				visited[u] = 1
-				parent[u] = v
-				stack = append(stack, u)
 			}
 		}
 	}
-	return true
+	for i := 0; i < m; i++ {
+		if ends[2*i+1] < 0 {
+			v := ends[2*i]
+			parent[i] = anchor[v]
+			if anchor[v] < 0 {
+				anchor[v] = i
+			}
+		}
+	}
+	return parent, true
 }
 
 // SolveTree solves a tree-structured binary instance backtrack-free:
 // directional arc consistency from the leaves to a root, then a single
-// greedy top-down assignment pass (Freuder 1982). Returns an error when the
+// greedy top-down assignment pass (Freuder 1982), both run by the join-tree
+// engine on the instance's forest join tree. Returns an error when the
 // instance is not tree-structured.
 func SolveTree(p *csp.Instance) (csp.Result, error) {
-	q := p.NormalizeDistinct().Consolidate()
-	if !IsTreeStructured(q) {
+	parent, ok := forestJoinTree(p)
+	if !ok {
 		return csp.Result{}, fmt.Errorf("consistency: instance is not tree-structured")
 	}
-
-	// Current domains as boolean masks.
-	dom := make([][]bool, q.Vars)
-	size := make([]int, q.Vars)
-	for v := 0; v < q.Vars; v++ {
-		dom[v] = make([]bool, q.Dom)
-		for _, val := range q.DomainOf(v) {
-			if val >= 0 && val < q.Dom && !dom[v][val] {
-				dom[v][val] = true
-				size[v]++
-			}
-		}
-		if size[v] == 0 {
-			return csp.Result{}, nil
-		}
-	}
-
-	// Unary constraints prune directly; binary constraints are indexed per
-	// edge (both orientations).
-	type edgeCon struct {
-		other int
-		table *csp.Table
-		flip  bool // tuple order is (other, v) instead of (v, other)
-	}
-	adj := make([][]edgeCon, q.Vars)
-	for _, con := range q.Constraints {
-		switch len(con.Scope) {
-		case 1:
-			v := con.Scope[0]
-			for val := 0; val < q.Dom; val++ {
-				if dom[v][val] && !con.Table.Has([]int{val}) {
-					dom[v][val] = false
-					size[v]--
-				}
-			}
-			if size[v] == 0 {
-				return csp.Result{}, nil
-			}
-		case 2:
-			u, v := con.Scope[0], con.Scope[1]
-			adj[u] = append(adj[u], edgeCon{other: v, table: con.Table, flip: false})
-			adj[v] = append(adj[v], edgeCon{other: u, table: con.Table, flip: true})
-		}
-	}
-
-	supports := func(e edgeCon, myVal, otherVal int) bool {
-		if e.flip {
-			return e.table.Has([]int{otherVal, myVal})
-		}
-		return e.table.Has([]int{myVal, otherVal})
-	}
-
-	// Root every component, order vertices root-first (BFS), then apply
-	// directional arc consistency child -> parent in reverse BFS order.
-	parent := make([]int, q.Vars)
-	for i := range parent {
-		parent[i] = -2
-	}
-	var bfs []int
-	for start := 0; start < q.Vars; start++ {
-		if parent[start] != -2 {
-			continue
-		}
-		parent[start] = -1
-		queue := []int{start}
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			bfs = append(bfs, v)
-			for _, e := range adj[v] {
-				if parent[e.other] == -2 {
-					parent[e.other] = v
-					queue = append(queue, e.other)
-				}
-			}
-		}
-	}
-
-	// DAC pass: for v in reverse BFS order, revise parent's domain against
-	// v: a parent value survives iff it has a support in v's domain, for
-	// every constraint connecting them.
-	for i := len(bfs) - 1; i >= 0; i-- {
-		v := bfs[i]
-		pa := parent[v]
-		if pa < 0 {
-			continue
-		}
-		for _, e := range adj[pa] {
-			if e.other != v {
-				continue
-			}
-			for paVal := 0; paVal < q.Dom; paVal++ {
-				if !dom[pa][paVal] {
-					continue
-				}
-				supported := false
-				for vVal := 0; vVal < q.Dom && !supported; vVal++ {
-					if dom[v][vVal] && supports(e, paVal, vVal) {
-						supported = true
-					}
-				}
-				if !supported {
-					dom[pa][paVal] = false
-					size[pa]--
-				}
-			}
-			if size[pa] == 0 {
-				return csp.Result{}, nil
-			}
-		}
-	}
-
-	// Backtrack-free top-down assignment: every choice is guaranteed to
-	// extend (Freuder's theorem). A failure here would be a bug, not an
-	// input condition.
-	assign := make([]int, q.Vars)
-	for i := range assign {
-		assign[i] = -1
-	}
-	for _, v := range bfs {
-		chosen := -1
-		for val := 0; val < q.Dom && chosen < 0; val++ {
-			if !dom[v][val] {
-				continue
-			}
-			ok := true
-			for _, e := range adj[v] {
-				if e.other == parent[v] && assign[e.other] >= 0 {
-					if !supports(e, val, assign[e.other]) {
-						ok = false
-						break
-					}
-				}
-			}
-			if ok {
-				chosen = val
-			}
-		}
-		if chosen < 0 {
-			return csp.Result{}, fmt.Errorf("consistency: backtrack-free assignment failed (internal error)")
-		}
-		assign[v] = chosen
-	}
-	if !q.Satisfies(assign) {
-		return csp.Result{}, fmt.Errorf("consistency: tree solver produced an invalid assignment (internal error)")
-	}
-	return csp.Result{Found: true, Solution: assign}, nil
+	res, _, err := csp.SolveJoinTree(p, csp.EdgesOf(p), parent)
+	return res, err
 }

@@ -143,3 +143,122 @@ func TestSolveTreeDisconnected(t *testing.T) {
 		t.Fatal("unsatisfiable component not detected")
 	}
 }
+
+// TestForestJoinTreeRandom checks forestJoinTree against a union-find
+// oracle on random small scope lists mixing unary, repeated-variable,
+// parallel and reversed scopes: it must accept exactly the tree-structured
+// ones, and its parent array must then be a forest in which, for every
+// variable, the constraints containing it are connected (the join-tree
+// property the reducer relies on).
+func TestForestJoinTreeRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	accepted := 0
+	for trial := 0; trial < 4000; trial++ {
+		n := 1 + rng.Intn(7)
+		p := csp.NewInstance(n, 2)
+		for c := rng.Intn(9); c > 0; c-- {
+			scope := []int{rng.Intn(n)}
+			switch rng.Intn(4) {
+			case 1, 2:
+				scope = append(scope, rng.Intn(n))
+			case 3:
+				scope = append(scope, rng.Intn(n), scope[0])
+			}
+			p.MustAddConstraint(scope, csp.NewTable(len(scope)))
+		}
+
+		// Oracle: at most two distinct variables per scope, and no distinct
+		// pair joins two already-connected variables unless it repeats an
+		// earlier pair.
+		root := make([]int, n)
+		for v := range root {
+			root[v] = v
+		}
+		find := func(v int) int {
+			for root[v] != v {
+				v = root[v]
+			}
+			return v
+		}
+		pairs := map[[2]int]bool{}
+		want := true
+		for _, con := range p.Constraints {
+			vs := map[int]bool{}
+			for _, v := range con.Scope {
+				vs[v] = true
+			}
+			if len(vs) > 2 {
+				want = false
+				break
+			}
+			if len(vs) == 2 {
+				a, b := con.Scope[0], con.Scope[1]
+				if a > b {
+					a, b = b, a
+				}
+				if pairs[[2]int{a, b}] {
+					continue
+				}
+				pairs[[2]int{a, b}] = true
+				if find(a) == find(b) {
+					want = false
+					break
+				}
+				root[find(a)] = find(b)
+			}
+		}
+
+		parent, ok := forestJoinTree(p)
+		if ok != want {
+			t.Fatalf("trial %d: scopes %v: ok=%v, oracle %v", trial, scopes(p), ok, want)
+		}
+		if !ok {
+			continue
+		}
+		accepted++
+		m := len(p.Constraints)
+		for i := range parent {
+			x, steps := i, 0
+			for x != -1 {
+				if x < -1 || x >= m || steps > m {
+					t.Fatalf("trial %d: scopes %v: parent %v is not a forest", trial, scopes(p), parent)
+				}
+				x, steps = parent[x], steps+1
+			}
+		}
+		for v := 0; v < n; v++ {
+			has := func(i int) bool {
+				for _, w := range p.Constraints[i].Scope {
+					if w == v {
+						return true
+					}
+				}
+				return false
+			}
+			tops := map[int]bool{}
+			for i := 0; i < m; i++ {
+				if has(i) {
+					x := i
+					for parent[x] >= 0 && has(parent[x]) {
+						x = parent[x]
+					}
+					tops[x] = true
+				}
+			}
+			if len(tops) > 1 {
+				t.Fatalf("trial %d: scopes %v: parent %v splits variable %d", trial, scopes(p), parent, v)
+			}
+		}
+	}
+	if accepted < 500 {
+		t.Fatalf("only %d tree-structured draws", accepted)
+	}
+}
+
+func scopes(p *csp.Instance) [][]int {
+	out := make([][]int, len(p.Constraints))
+	for i, con := range p.Constraints {
+		out[i] = con.Scope
+	}
+	return out
+}

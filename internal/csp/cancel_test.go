@@ -82,10 +82,13 @@ func TestCancellationLeaksNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	timeout := hardTimeout(t, 40*time.Millisecond)
 	for i := 0; i < 5; i++ {
-		if res := Portfolio(context.Background(), p, PortfolioOptions{Timeout: timeout}); !res.Aborted {
+		ctx, cancel := context.WithTimeout(context.Background(), timeout)
+		res := Portfolio(ctx, p, PortfolioOptions{})
+		cancel()
+		if !res.Aborted {
 			t.Fatalf("portfolio run %d: expected abort under %v deadline, got %+v", i, timeout, res.Result)
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), timeout)
+		ctx, cancel = context.WithTimeout(context.Background(), timeout)
 		if res := SolveParallel(ctx, p, ParallelOptions{Workers: 4}); !res.Aborted {
 			t.Fatalf("parallel run %d: expected abort under %v deadline, got %+v", i, timeout, res.Result)
 		}

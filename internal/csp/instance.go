@@ -229,7 +229,9 @@ func (p *Instance) Satisfies(assignment []int) bool {
 // into an equivalent constraint with distinct scope variables, per the
 // standard reduction in Section 2: tuples disagreeing on the repeated
 // positions are deleted and the duplicate column is projected out. The
-// result is a new instance with the same solution set.
+// result is a new instance with the same solution set; a constraint whose
+// scope is already distinct keeps its table (tables are read-only once
+// built, so sharing one is safe).
 func (p *Instance) NormalizeDistinct() *Instance {
 	out := &Instance{Vars: p.Vars, Dom: p.Dom, Names: p.Names, Domains: p.Domains}
 	for _, con := range p.Constraints {
@@ -239,7 +241,13 @@ func (p *Instance) NormalizeDistinct() *Instance {
 	return out
 }
 
+// dedupScope returns scope and table as they are when the scope's variables
+// are distinct, and otherwise the projection of the rows agreeing on every
+// repeated variable onto its first occurrences.
 func dedupScope(scope []int, table *Table) ([]int, *Table) {
+	if distinctVars(scope) {
+		return scope, table
+	}
 	first := make(map[int]int) // variable -> first position
 	keep := make([]int, 0, len(scope))
 	newScope := make([]int, 0, len(scope))
@@ -249,9 +257,6 @@ func dedupScope(scope []int, table *Table) ([]int, *Table) {
 			keep = append(keep, i)
 			newScope = append(newScope, v)
 		}
-	}
-	if len(keep) == len(scope) {
-		return append([]int(nil), scope...), table.Clone()
 	}
 	out := NewTable(len(keep))
 	proj := make([]int, len(keep))
@@ -270,9 +275,21 @@ rows:
 	return newScope, out
 }
 
+func distinctVars(scope []int) bool {
+	for i, v := range scope {
+		for _, w := range scope[:i] {
+			if v == w {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // Consolidate merges constraints that share the same ordered scope by
 // intersecting their tables, so every scope occurs at most once (the "single
-// constraint per tuple of variables" convention of Section 2).
+// constraint per tuple of variables" convention of Section 2). A scope that
+// occurs once keeps its table; a merged scope gets a new one.
 func (p *Instance) Consolidate() *Instance {
 	out := &Instance{Vars: p.Vars, Dom: p.Dom, Names: p.Names, Domains: p.Domains}
 	byScope := make(map[string]*Table)
@@ -287,9 +304,9 @@ func (p *Instance) Consolidate() *Instance {
 			}
 			byScope[k] = merged
 		} else {
-			byScope[k] = con.Table.Clone()
+			byScope[k] = con.Table
 			order = append(order, k)
-			scopes[k] = append([]int(nil), con.Scope...)
+			scopes[k] = con.Scope
 		}
 	}
 	for _, k := range order {

@@ -76,11 +76,13 @@ func TestPortfolioStatsMatchRegistry(t *testing.T) {
 		before := obsSearchNodes.Load()
 		beforeRaces := obsPortfolioRaces.Load()
 		beforeWins := map[string]int64{}
-		for _, s := range SearchStrategies() {
+		searchers := DefaultStrategies()
+		searchers = searchers[:len(searchers)-1] // every lane but Join
+		for _, s := range searchers {
 			beforeWins[s.Name] = obsPortfolioLane.Load(laneLabel(s.Name), "win")
 		}
 
-		res := Portfolio(context.Background(), p, PortfolioOptions{Strategies: SearchStrategies()})
+		res := Portfolio(context.Background(), p, PortfolioOptions{Strategies: searchers})
 		if !res.Found {
 			t.Fatal("portfolio unsolved")
 		}

@@ -52,18 +52,6 @@ func DefaultStrategies() []PortfolioStrategy {
 	}
 }
 
-// SearchStrategies returns the portfolio of search-based deciders only:
-// MAC+MRV, FC+Lex, CBJ and Learn. It exists because the join decider
-// materializes intermediate relations; on instances with large constraint
-// tables those allocations put the garbage collector under enough pressure
-// to slow every competitor in the race before the cancellation lands. When
-// instances are memory-heavy, race the searchers and keep join evaluation
-// out of the pool.
-func SearchStrategies() []PortfolioStrategy {
-	all := DefaultStrategies()
-	return all[:len(all)-1]
-}
-
 // PortfolioOptions configures a Portfolio call.
 type PortfolioOptions struct {
 	// Strategies to race; nil means DefaultStrategies().
@@ -73,9 +61,6 @@ type PortfolioOptions struct {
 	// against the limit, so one strategy hitting the limit does not abort
 	// (or poison) the others.
 	Options Options
-	// Timeout, when positive, bounds the whole race with a deadline derived
-	// from the caller's context.
-	Timeout time.Duration
 }
 
 // StrategyReport is the per-strategy attribution in a PortfolioResult.
@@ -121,13 +106,7 @@ func Portfolio(ctx context.Context, p *Instance, popts PortfolioOptions) Portfol
 	obsPortfolioRaces.Inc()
 	ctx, raceSpan := obs.StartSpan(ctx, "csp.portfolio")
 	raceSpan.SetInt("strategies", int64(len(strategies)))
-	var raceCtx context.Context
-	var cancel context.CancelFunc
-	if popts.Timeout > 0 {
-		raceCtx, cancel = context.WithTimeout(ctx, popts.Timeout)
-	} else {
-		raceCtx, cancel = context.WithCancel(ctx)
-	}
+	raceCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	type verdict struct {

@@ -28,8 +28,8 @@ import (
 // Canonical returns the canonical byte encoding of p.
 func Canonical(p *csp.Instance) []byte {
 	out := make([]byte, 0, 256)
-	out = appendInt(out, p.Vars)
-	out = appendInt(out, p.Dom)
+	out = appendNum(out, p.Vars)
+	out = appendNum(out, p.Dom)
 
 	// Per-variable domain restrictions, in variable-index order with values
 	// sorted and deduplicated. A nil entry (full domain) is skipped, so an
@@ -44,9 +44,9 @@ func Canonical(p *csp.Instance) []byte {
 			sort.Ints(vals)
 			vals = dedupSortedInts(vals)
 			out = append(out, 'D')
-			out = appendInt(out, v)
+			out = appendNum(out, v)
 			for _, val := range vals {
-				out = appendInt(out, val)
+				out = appendNum(out, val)
 			}
 			out = append(out, ';')
 		}
@@ -94,7 +94,7 @@ func canonicalConstraint(c *csp.Constraint) []byte {
 	for _, row := range c.Table.Tuples() {
 		buf = buf[:0]
 		for _, col := range perm {
-			buf = appendInt(buf, row[col])
+			buf = appendNum(buf, row[col])
 		}
 		rows = append(rows, string(buf))
 	}
@@ -103,7 +103,7 @@ func canonicalConstraint(c *csp.Constraint) []byte {
 	enc := make([]byte, 0, 16+8*len(rows))
 	enc = append(enc, 'C')
 	for _, col := range perm {
-		enc = appendInt(enc, c.Scope[col])
+		enc = appendNum(enc, c.Scope[col])
 	}
 	enc = append(enc, ':')
 	prev := ""
@@ -119,7 +119,7 @@ func canonicalConstraint(c *csp.Constraint) []byte {
 	return enc
 }
 
-func appendInt(b []byte, v int) []byte {
+func appendNum(b []byte, v int) []byte {
 	b = strconv.AppendInt(b, int64(v), 10)
 	return append(b, ' ')
 }

@@ -22,6 +22,8 @@ import (
 //   - the verdict agrees with csp.Portfolio run directly;
 //   - the classification's witness is valid for the live instance;
 //   - the route equals the class and Fallback fires only for Hard;
+//   - the tree, acyclic and full-3-tree families each produce both a SAT
+//     and an UNSAT verdict, and so do the tree, acyclic and width routes;
 //   - globally, the fallback counter moved exactly once per Hard-routed
 //     instance (zero portfolio invocations on PTIME-classified instances)
 //     and the defensive-reroute counter did not move at all.
@@ -34,6 +36,9 @@ type family struct {
 	// forbidden lists classes the instance must NOT land in (used when the
 	// family only guarantees what it is not, e.g. "cyclic by construction").
 	forbidden map[Class]bool
+	// bothVerdicts requires the family to produce at least one SAT and one
+	// UNSAT instance, so its route's reducer exits are both exercised.
+	bothVerdicts bool
 }
 
 var schaeferClasses = []schaefer.Class{
@@ -161,7 +166,8 @@ func diffFamilies() []family {
 				d := 2 + rng.Intn(3)
 				return gen.CSPOnGraph(rng, gen.RandomTree(rng, n), d, 0.2+0.4*rng.Float64())
 			},
-			allowed: set(Tree),
+			allowed:      set(Tree),
+			bothVerdicts: true,
 		},
 		{
 			name: "acyclic",
@@ -170,7 +176,8 @@ func diffFamilies() []family {
 				// can come out as binary forests, hence Tree is admissible.
 				return gen.AcyclicCSP(rng, 2+rng.Intn(7), 3, 3, 0.15+0.5*rng.Float64())
 			},
-			allowed: set(Tree, Acyclic),
+			allowed:      set(Tree, Acyclic),
+			bothVerdicts: true,
 		},
 		{
 			name: "full-3-tree",
@@ -181,7 +188,8 @@ func diffFamilies() []family {
 			},
 			// A full 3-tree is chordal, so the MCS heuristic recovers width
 			// exactly 3 — never more — and the class is deterministic.
-			allowed: set(BoundedWidth),
+			allowed:      set(BoundedWidth),
+			bothVerdicts: true,
 		},
 		{
 			name: "schaefer",
@@ -254,11 +262,13 @@ func TestDispatchDifferential(t *testing.T) {
 	an := NewAnalyzer(0, 0)
 	fb0, rr0 := FallbackCount(), RerouteCount()
 	hardRouted := int64(0)
+	var routeVerdicts [Hard + 1][2]int // [route][found]
 
 	for _, fam := range diffFamilies() {
 		fam := fam
 		t.Run(fam.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(len(fam.name)) * 1009))
+			verdicts := map[bool]int{}
 			for trial := 0; trial < trials; trial++ {
 				p := fam.gen(rng)
 				if p == nil {
@@ -297,6 +307,16 @@ func TestDispatchDifferential(t *testing.T) {
 				if out.Found && !p.Satisfies(out.Solution) {
 					t.Fatalf("trial %d: returned non-solution %v", trial, out.Solution)
 				}
+				verdicts[out.Found]++
+				if out.Found {
+					routeVerdicts[out.Route][1]++
+				} else {
+					routeVerdicts[out.Route][0]++
+				}
+			}
+			if fam.bothVerdicts && (verdicts[true] == 0 || verdicts[false] == 0) {
+				t.Fatalf("family %q gave %d SAT and %d UNSAT verdicts; both must occur",
+					fam.name, verdicts[true], verdicts[false])
 			}
 		})
 	}
@@ -308,5 +328,10 @@ func TestDispatchDifferential(t *testing.T) {
 	}
 	if d := RerouteCount() - rr0; d != 0 {
 		t.Fatalf("%d defensive reroutes: a routed solver rejected its own class", d)
+	}
+	for _, c := range []Class{Tree, Acyclic, BoundedWidth} {
+		if v := routeVerdicts[c]; v[0] == 0 || v[1] == 0 {
+			t.Errorf("route %v gave %d SAT and %d UNSAT verdicts; both must occur", c, v[1], v[0])
+		}
 	}
 }

@@ -3,15 +3,22 @@
 // Analyzer classifies each instance along the tractability lines the
 // library implements:
 //
-//	tree      tree-shaped binary CSP        → directional arc consistency
+//	tree      tree-shaped binary CSP        → join-tree reducer on the forest
 //	                                           (Freuder; width-1 of Thm 6.2)
 //	schaefer  Boolean template in a Schaefer
 //	          class                          → dedicated dichotomy solver
 //	acyclic   α-acyclic constraint
-//	          hypergraph (GYO)               → Yannakakis full reducer
+//	          hypergraph (GYO)               → join-tree reducer (Yannakakis)
 //	width     primal-graph tree decomposition
-//	          of width ≤ budget              → decomposition DP (Thm 6.2)
+//	          of width ≤ budget              → join-tree reducer on the bags
+//	                                           (decomposition DP, Thm 6.2)
 //	hard      none of the above              → csp.Portfolio
+//
+// The tree, acyclic and width routes are adapters over one engine,
+// csp.SolveJoinTree: a semijoin full reducer along a join tree followed by
+// backtrack-free extraction. Each adapter only builds its join tree — the
+// primal forest's BFS tree, the GYO join tree, the rooted decomposition —
+// and the edges' rows.
 //
 // Classification verdicts and their computed witnesses (join trees, tree
 // decompositions) are cached in an LRU keyed on cspio.CanonicalHash, so

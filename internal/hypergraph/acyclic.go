@@ -13,10 +13,7 @@ import (
 // in time polynomial in the instance size, per the acyclic-joins line of
 // Section 6. The full reducer makes the constraint tables globally
 // consistent along a join tree, after which a root-first pass assigns each
-// hyperedge a tuple backtrack-free: every variable of an edge already
-// assigned when the edge is reached is shared with its parent (join-tree
-// connectedness), and the down pass guarantees the parent's chosen tuple
-// keeps a matching tuple alive in every child.
+// hyperedge a tuple backtrack-free.
 
 // Observability handles for the acyclic CSP solver:
 //
@@ -31,69 +28,17 @@ var (
 	obsAcyRowsReduced = obs.NewCounter("acyclic.rows_reduced")
 )
 
-// projKey renders the values of rows at the given positions as a map key.
-func projKey(row []int, positions []int) string {
-	b := make([]byte, 0, len(positions)*3)
-	for _, p := range positions {
-		v := row[p]
-		if v == 0 {
-			b = append(b, '0')
-		}
-		for v > 0 {
-			b = append(b, byte('0'+v%10))
-			v /= 10
-		}
-		b = append(b, ',')
-	}
-	return string(b)
-}
-
-// sharedPositions returns, for each variable occurring in both scopes, its
-// position in a and its position in b (pairs aligned).
-func sharedPositions(a, b []int) (inA, inB []int) {
-	posB := make(map[int]int, len(b))
-	for i, v := range b {
-		posB[v] = i
-	}
-	for i, v := range a {
-		if j, ok := posB[v]; ok {
-			inA = append(inA, i)
-			inB = append(inB, j)
-		}
-	}
-	return inA, inB
-}
-
-// semijoin returns the rows of (tScope, tRows) that agree with some row of
-// (sScope, sRows) on the shared variables, filtering tRows in place.
-func semijoin(tScope []int, tRows [][]int, sScope []int, sRows [][]int) [][]int {
-	inT, inS := sharedPositions(tScope, sScope)
-	keys := make(map[string]bool, len(sRows))
-	for _, row := range sRows {
-		keys[projKey(row, inS)] = true
-	}
-	kept := tRows[:0]
-	for _, row := range tRows {
-		if keys[projKey(row, inT)] {
-			kept = append(kept, row)
-		}
-	}
-	return kept
-}
-
 // SolveAcyclicCSP decides an α-acyclic CSP instance in polynomial time and
 // returns a satisfying assignment when one exists. jt may be a join tree
 // for the instance's constraint hypergraph (FromInstance ordering: one
 // hyperedge per constraint, in constraint order) — a cached one, say; it is
 // always validated against the live instance first, and recomputed by GYO
 // when nil or invalid. An instance whose hypergraph is not α-acyclic is
-// rejected with an error.
+// rejected with an error. The reducer and the extraction are the shared
+// join-tree engine, csp.SolveJoinTree, with constraint i as edge i.
 func SolveAcyclicCSP(p *csp.Instance, jt *JoinTree) (csp.Result, error) {
 	start := time.Now()
-	// NormalizeDistinct keeps constraint order and turns every scope into a
-	// distinct-variable scope, so constraint i still matches hyperedge i.
-	q := p.NormalizeDistinct()
-	h := FromInstance(q)
+	h := FromInstance(p)
 	if jt == nil || h.ValidateJoinTree(jt) != nil {
 		acyclic, fresh := h.GYO()
 		if !acyclic {
@@ -102,133 +47,14 @@ func SolveAcyclicCSP(p *csp.Instance, jt *JoinTree) (csp.Result, error) {
 		jt = fresh
 	}
 	obsAcySolves.Inc()
-
-	finish := func(res csp.Result) csp.Result {
-		res.Stats.Strategy = "acyclic"
-		res.Stats.Duration = time.Since(start)
-		return res
+	res, n, err := csp.SolveJoinTree(p, csp.EdgesOf(p), jt.Parent)
+	obsAcySemijoins.Add(n.Semijoins)
+	obsAcyRowsLoaded.Add(n.Loaded)
+	obsAcyRowsReduced.Add(n.Reduced)
+	if err != nil {
+		return csp.Result{}, err
 	}
-
-	// Per-variable domain masks; an empty domain is unsatisfiable outright
-	// (the variable cannot be assigned at all).
-	domOK := make([][]bool, q.Vars)
-	for v := 0; v < q.Vars; v++ {
-		domOK[v] = make([]bool, q.Dom)
-		any := false
-		for _, val := range q.DomainOf(v) {
-			if val >= 0 && val < q.Dom {
-				domOK[v][val] = true
-				any = true
-			}
-		}
-		if !any {
-			return finish(csp.Result{}), nil
-		}
-	}
-
-	// Per-hyperedge working relations: scopes[i] is constraint i's
-	// (distinct-variable) scope, rows[i] its surviving row views. The views
-	// alias table storage, but never outlive this call.
-	m := len(q.Constraints)
-	scopes := make([][]int, m)
-	rows := make([][][]int, m)
-	var loaded int64
-	for i, con := range q.Constraints {
-		scopes[i] = con.Scope
-		var kept [][]int
-	load:
-		for _, row := range con.Table.Tuples() {
-			for j, v := range con.Scope {
-				if !domOK[v][row[j]] {
-					continue load
-				}
-			}
-			kept = append(kept, row)
-		}
-		loaded += int64(len(kept))
-		if len(kept) == 0 {
-			return finish(csp.Result{}), nil
-		}
-		rows[i] = kept
-	}
-
-	sol := make([]int, q.Vars)
-	for v := range sol {
-		sol[v] = -1
-	}
-
-	if m > 0 {
-		order := topoOrder(jt, m) // children before parents
-
-		// Full reducer: up pass (parent ⋉ child), then down pass (child ⋉
-		// parent). Effort is tallied locally and flushed once at the call
-		// boundary, including on the early-UNSAT exit.
-		var semijoins int64
-		unsat := false
-		for _, i := range order {
-			if pa := jt.Parent[i]; pa >= 0 {
-				rows[pa] = semijoin(scopes[pa], rows[pa], scopes[i], rows[i])
-				semijoins++
-				if len(rows[pa]) == 0 {
-					unsat = true
-					break
-				}
-			}
-		}
-		if !unsat {
-			for k := m - 1; k >= 0; k-- {
-				i := order[k]
-				if pa := jt.Parent[i]; pa >= 0 {
-					rows[i] = semijoin(scopes[i], rows[i], scopes[pa], rows[pa])
-					semijoins++
-				}
-			}
-		}
-		obsAcySemijoins.Add(semijoins)
-		if obs.Enabled() {
-			obsAcyRowsLoaded.Add(loaded)
-			var reduced int64
-			for _, rel := range rows {
-				reduced += int64(len(rel))
-			}
-			obsAcyRowsReduced.Add(reduced)
-		}
-		if unsat {
-			return finish(csp.Result{}), nil
-		}
-
-		// Backtrack-free extraction, root first (reverse of the bottom-up
-		// order, so every edge is reached after its parent).
-		for k := m - 1; k >= 0; k-- {
-			i := order[k]
-			picked := -1
-		candidates:
-			for ri, row := range rows[i] {
-				for j, v := range scopes[i] {
-					if sol[v] >= 0 && sol[v] != row[j] {
-						continue candidates
-					}
-				}
-				picked = ri
-				break
-			}
-			if picked < 0 {
-				return csp.Result{}, fmt.Errorf("hypergraph: acyclic extraction found no compatible tuple (internal error)")
-			}
-			for j, v := range scopes[i] {
-				sol[v] = rows[i][picked][j]
-			}
-		}
-	}
-
-	// Variables in no constraint take any value from their domain.
-	for v := range sol {
-		if sol[v] < 0 {
-			sol[v] = q.DomainOf(v)[0]
-		}
-	}
-	if !p.Satisfies(sol) {
-		return csp.Result{}, fmt.Errorf("hypergraph: acyclic solver produced an invalid assignment (internal error)")
-	}
-	return finish(csp.Result{Found: true, Solution: sol}), nil
+	res.Stats.Strategy = "acyclic"
+	res.Stats.Duration = time.Since(start)
+	return res, nil
 }

@@ -207,7 +207,9 @@ func subset(a, b map[int]bool) bool {
 
 // ValidateJoinTree checks the join-tree connectedness property against the
 // hypergraph: for every vertex, the edges containing it form a connected
-// subtree.
+// subtree. It runs in O(Σ|e| log |e|): a subforest of a tree is connected
+// iff it has one tree link fewer than nodes, so it counts, per vertex, the
+// edges containing it and the parent links both ends of which contain it.
 func (h *Hypergraph) ValidateJoinTree(jt *JoinTree) error {
 	m := len(h.Edges)
 	if m == 0 {
@@ -219,62 +221,43 @@ func (h *Hypergraph) ValidateJoinTree(jt *JoinTree) error {
 	if jt.Root < 0 || jt.Root >= m || jt.Parent[jt.Root] != -1 {
 		return fmt.Errorf("hypergraph: bad join tree root")
 	}
-	// Check tree-ness: every edge reaches the root.
-	for i := 0; i < m; i++ {
-		seen := make(map[int]bool)
+	// Tree-ness: every edge reaches the root. reach[i] is 0 while unknown,
+	// 1 while on the path being walked and 2 once known to reach the root.
+	reach := make([]int8, m)
+	reach[jt.Root] = 2
+	for i := range reach {
 		x := i
-		for x != jt.Root {
-			if x < 0 || x >= m || seen[x] {
-				return fmt.Errorf("hypergraph: join tree cycle or dangling parent at edge %d", i)
-			}
-			seen[x] = true
+		for reach[x] == 0 {
+			reach[x] = 1
 			x = jt.Parent[x]
+			if x < 0 || x >= m {
+				return fmt.Errorf("hypergraph: join tree dangling parent on the path from edge %d", i)
+			}
+		}
+		if reach[x] == 1 {
+			return fmt.Errorf("hypergraph: join tree cycle through edge %d", x)
+		}
+		for y := i; reach[y] == 1; y = jt.Parent[y] {
+			reach[y] = 2
 		}
 	}
-	// Connectedness: for each vertex, edges containing it induce a subtree.
-	for v := 0; v < h.N; v++ {
-		var containing []int
-		inEdge := make(map[int]bool)
-		for i, e := range h.Edges {
-			if containsSorted(e, v) {
-				containing = append(containing, i)
-				inEdge[i] = true
+	// Connectedness: per vertex, containing edges minus linking edges is 1.
+	comps := make([]int, h.N)
+	for i, e := range h.Edges {
+		pa := jt.Parent[i]
+		for _, v := range e {
+			if v < 0 || v >= h.N {
+				return fmt.Errorf("hypergraph: edge %d has vertex %d outside [0,%d)", i, v, h.N)
+			}
+			comps[v]++
+			if pa >= 0 && containsSorted(h.Edges[pa], v) {
+				comps[v]--
 			}
 		}
-		if len(containing) <= 1 {
-			continue
-		}
-		// The induced subgraph of the tree on `containing` must be
-		// connected: count how many of them have their nearest containing
-		// ancestor... simpler: walk from each containing edge up to the
-		// root, recording the first containing ancestor; the subtree is
-		// connected iff exactly one containing edge has none, and every
-		// intermediate node on the path to that ancestor also contains v.
-		rootless := 0
-		for _, i := range containing {
-			x := jt.Parent[i]
-			for x != -1 && !inEdge[x] {
-				// v must not "leave and re-enter": if some ancestor on the
-				// path contains v we would have stopped; x does not contain
-				// v, keep climbing.
-				x = jt.Parent[x]
-			}
-			if x == -1 {
-				rootless++
-			} else {
-				// Path from i to x must consist of edges containing v for
-				// the classical join-tree property.
-				y := jt.Parent[i]
-				for y != x {
-					if !inEdge[y] {
-						return fmt.Errorf("hypergraph: vertex %d disconnected in join tree (edge %d to %d via %d)", v, i, x, y)
-					}
-					y = jt.Parent[y]
-				}
-			}
-		}
-		if rootless != 1 {
-			return fmt.Errorf("hypergraph: vertex %d appears in %d disconnected join-tree components", v, rootless)
+	}
+	for v, c := range comps {
+		if c > 1 {
+			return fmt.Errorf("hypergraph: vertex %d appears in %d disconnected join-tree components", v, c)
 		}
 	}
 	return nil

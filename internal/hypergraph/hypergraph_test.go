@@ -343,3 +343,74 @@ func TestYannakakisOnGeneratedChains(t *testing.T) {
 		}
 	}
 }
+
+// TestValidateJoinTreeAgainstReference compares ValidateJoinTree with a
+// direct check on random small hypergraphs and random parent arrays (most
+// not trees, many trees not join trees): the parent array must be a tree
+// rooted at Root, and for every vertex the containing edges must be
+// connected through containing edges.
+func TestValidateJoinTreeAgainstReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	reference := func(h *Hypergraph, jt *JoinTree) bool {
+		m := len(h.Edges)
+		for i := 0; i < m; i++ { // every edge reaches the root in < m steps
+			x, steps := i, 0
+			for x != jt.Root {
+				if x < 0 || steps == m {
+					return false
+				}
+				x, steps = jt.Parent[x], steps+1
+			}
+		}
+		for v := 0; v < h.N; v++ {
+			in := func(i int) bool { return containsSorted(h.Edges[i], v) }
+			var containing []int
+			for i := range h.Edges {
+				if in(i) {
+					containing = append(containing, i)
+				}
+			}
+			// Each containing edge climbs through containing edges to a
+			// common top: the connected component's highest edge.
+			tops := map[int]bool{}
+			for _, i := range containing {
+				for jt.Parent[i] >= 0 && in(jt.Parent[i]) {
+					i = jt.Parent[i]
+				}
+				tops[i] = true
+			}
+			if len(tops) > 1 {
+				return false
+			}
+		}
+		return true
+	}
+	valid := 0
+	for trial := 0; trial < 3000; trial++ {
+		n, m := 2+rng.Intn(5), 1+rng.Intn(5)
+		h := New(n)
+		for i := 0; i < m; i++ {
+			vs := []int{rng.Intn(n)}
+			for rng.Intn(2) == 0 {
+				vs = append(vs, rng.Intn(n))
+			}
+			h.MustAddEdge(vs...)
+		}
+		jt := &JoinTree{Parent: make([]int, m), Root: rng.Intn(m)}
+		for i := range jt.Parent {
+			jt.Parent[i] = rng.Intn(m+1) - 1
+		}
+		jt.Parent[jt.Root] = -1
+		want := reference(h, jt)
+		if got := h.ValidateJoinTree(jt) == nil; got != want {
+			t.Fatalf("trial %d: edges %v parent %v root %d: valid=%v, reference %v",
+				trial, h.Edges, jt.Parent, jt.Root, got, want)
+		}
+		if want {
+			valid++
+		}
+	}
+	if valid < 100 {
+		t.Fatalf("only %d valid join trees drawn", valid)
+	}
+}

@@ -203,12 +203,16 @@ func (s *Set) Add(row []int) bool {
 // Contains reports whether row is in the set. On a set filled through Add it
 // only reads; on an operator result of this package the first call builds
 // the index.
-func (s *Set) Contains(row []int) bool {
+func (s *Set) Contains(row []int) bool { return s.Index(row) >= 0 }
+
+// Index returns the insertion-order position of row in the set (its index
+// in Tuples), or -1 when row is absent. It reads like Contains.
+func (s *Set) Index(row []int) int {
 	if len(row) != s.k || s.n == 0 {
-		return false
+		return -1
 	}
 	s.ensureIndex()
-	return s.lookup(row, hashVals(row)) >= 0
+	return int(s.lookup(row, hashVals(row)))
 }
 
 // Tuples returns the rows, in insertion order, as views into the arena. The

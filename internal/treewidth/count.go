@@ -1,10 +1,10 @@
 package treewidth
 
 import (
-	"fmt"
 	"math/big"
 
 	"csdb/internal/csp"
+	"csdb/internal/relation"
 )
 
 // CountDecomposed counts the solutions of the instance by dynamic
@@ -13,128 +13,80 @@ import (
 // bounded-treewidth instances (whereas it is #P-hard in general). Counts
 // are exact big integers, since solution counts grow as d^n.
 func CountDecomposed(p *csp.Instance, d *Decomposition) (*big.Int, error) {
-	q := p.NormalizeDistinct()
-	if q.Vars == 0 {
+	if p.Vars == 0 {
 		return big.NewInt(1), nil
 	}
-	if err := d.Validate(PrimalGraph(q)); err != nil {
-		return nil, fmt.Errorf("treewidth: invalid decomposition: %w", err)
+	rows, _, err := bagRows(p, d)
+	if err != nil {
+		return nil, err
 	}
-
-	consAt := make([][]*csp.Constraint, d.NumBags())
-	for _, con := range q.Constraints {
-		bi := d.BagContaining(con.Scope)
-		if bi < 0 {
-			return nil, fmt.Errorf("treewidth: no bag contains scope %v", con.Scope)
-		}
-		consAt[bi] = append(consAt[bi], con)
-	}
-
+	nb := d.NumBags()
 	parent, order := d.Rooted(0)
-	children := make([][]int, d.NumBags())
+	children := make([][]int, nb)
+	inChild, inParent := make([][]int, nb), make([][]int, nb)
 	for b, pa := range parent {
 		if pa >= 0 {
 			children[pa] = append(children[pa], b)
+			inChild[b], inParent[b] = csp.SharedColumns(d.Bags[b], d.Bags[pa])
 		}
 	}
 
-	// sharedWithParent[b]: positions (in bag b) of variables shared with
-	// the parent bag.
-	sharedWithParent := make([][]int, d.NumBags())
-	for b, pa := range parent {
-		if pa < 0 {
+	// Bottom-up, counts[b][r] is the number of ways to extend row r of bag b
+	// to the variables below b that b does not hold (nil for none). A child's
+	// counts reach its parent summed per projection onto the variables they
+	// share: keys[c] indexes the projections, sums[c] is aligned with it.
+	counts := make([][]*big.Int, nb)
+	keys := make([]relation.Set, nb)
+	sums := make([][]*big.Int, nb)
+	var key []int
+	for _, b := range order {
+		counts[b] = make([]*big.Int, len(rows[b]))
+	rows:
+		for r, row := range rows[b] {
+			total := big.NewInt(1)
+			for _, c := range children[b] {
+				key = project(key, row, inParent[c])
+				id := keys[c].Index(key)
+				if id < 0 {
+					continue rows // no extension below c
+				}
+				total.Mul(total, sums[c][id])
+			}
+			counts[b][r] = total
+		}
+		if parent[b] < 0 {
 			continue
 		}
-		paSet := make(map[int]bool)
-		for _, v := range d.Bags[pa] {
-			paSet[v] = true
-		}
-		for i, v := range d.Bags[b] {
-			if paSet[v] {
-				sharedWithParent[b] = append(sharedWithParent[b], i)
+		keys[b] = relation.MakeSet(len(inChild[b]))
+		for r, row := range rows[b] {
+			if counts[b][r] == nil {
+				continue
 			}
+			key = project(key, row, inChild[b])
+			if keys[b].Add(key) {
+				sums[b] = append(sums[b], new(big.Int))
+			}
+			acc := sums[b][keys[b].Index(key)]
+			acc.Add(acc, counts[b][r])
 		}
 	}
 
-	// For each bag, after processing: counts keyed by the projection of the
-	// bag assignment onto the shared-with-parent variables. Each count
-	// already excludes double counting: variables shared with the parent
-	// are "owned" by the parent, so the child's contribution divides out...
-	// more precisely, the child table maps shared-projection -> number of
-	// assignments of (subtree variables \ shared variables) consistent
-	// below, and the parent multiplies them in.
-	childTables := make([]map[string]*big.Int, d.NumBags())
-
-	for _, b := range order { // bottom-up
-		bag := d.Bags[b]
-		table := make(map[string]*big.Int)
-
-		assign := make([]int, len(bag))
-		var enumerate func(i int)
-		enumerate = func(i int) {
-			if i == len(bag) {
-				for _, con := range consAt[b] {
-					row := make([]int, len(con.Scope))
-					for k, v := range con.Scope {
-						row[k] = assign[indexOf(bag, v)]
-					}
-					if !con.Table.Has(row) {
-						return
-					}
-				}
-				total := big.NewInt(1)
-				for ci, c := range children[b] {
-					_ = ci
-					key := childKeyFromParent(assign, bag, d.Bags[c], sharedWithParent[c])
-					sub, ok := childTables[c][key]
-					if !ok {
-						return // some child has no consistent extension
-					}
-					total.Mul(total, sub)
-				}
-				key := projKeyPositions(assign, sharedWithParent[b])
-				if acc, ok := table[key]; ok {
-					acc.Add(acc, total)
-				} else {
-					table[key] = total
-				}
-				return
-			}
-			v := bag[i]
-			for _, val := range q.DomainOf(v) {
-				assign[i] = val
-				enumerate(i + 1)
-			}
-		}
-		enumerate(0)
-		childTables[b] = table
-		if len(table) == 0 && parent[b] >= 0 {
-			return big.NewInt(0), nil
+	total := new(big.Int)
+	for _, c := range counts[order[len(order)-1]] {
+		if c != nil {
+			total.Add(total, c)
 		}
 	}
-
-	root := order[len(order)-1]
-	total := big.NewInt(0)
-	for _, c := range childTables[root] {
-		total.Add(total, c)
-	}
-	// Variables in no bag cannot exist (Validate guarantees coverage), so
-	// the root sum is the full solution count... except that the bag-level
-	// counting above counts each root-bag assignment once per projection
-	// key: keys at the root project onto sharedWithParent[root], which is
-	// empty, so all assignments accumulate under one key. Correct as is.
 	return total, nil
 }
 
-// childKeyFromParent computes the child's shared-projection key from the
-// parent bag's assignment.
-func childKeyFromParent(assign []int, parentBag, childBag []int, childSharedPos []int) string {
-	b := make([]byte, 0, len(childSharedPos)*3)
-	for _, cpos := range childSharedPos {
-		v := childBag[cpos]
-		b = appendInt(b, assign[indexOf(parentBag, v)])
+// project returns row's values at cols, reusing buf.
+func project(buf, row, cols []int) []int {
+	buf = buf[:0]
+	for _, c := range cols {
+		buf = append(buf, row[c])
 	}
-	return string(b)
+	return buf
 }
 
 // Count computes the exact number of solutions using the best heuristic

@@ -179,16 +179,14 @@ func (d *Decomposition) Validate(g *graph.Graph) error {
 
 // BagContaining returns the index of some bag containing all the given
 // vertices, or -1. Every clique of g lies within some bag of any valid tree
-// decomposition, so for constraint scopes this always succeeds.
+// decomposition, so for constraint scopes this always succeeds. Bags are
+// sorted, so each membership test is a binary search and nothing is
+// allocated.
 func (d *Decomposition) BagContaining(vs []int) int {
 bags:
 	for i, b := range d.Bags {
-		set := make(map[int]bool, len(b))
-		for _, v := range b {
-			set[v] = true
-		}
 		for _, v := range vs {
-			if !set[v] {
+			if j := sort.SearchInts(b, v); j == len(b) || b[j] != v {
 				continue bags
 			}
 		}
@@ -234,10 +232,4 @@ func TrivialDecomposition(n int) *Decomposition {
 		bag[i] = i
 	}
 	return &Decomposition{Bags: [][]int{bag}, Adj: [][]int{nil}}
-}
-
-func sortedCopy(s []int) []int {
-	c := append([]int(nil), s...)
-	sort.Ints(c)
-	return c
 }

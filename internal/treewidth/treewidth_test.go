@@ -21,6 +21,30 @@ func TestTrivialDecomposition(t *testing.T) {
 	}
 }
 
+// TestBagContaining checks the subset test on sorted bags, including a scope
+// that fits no bag and scopes with repeated or unsorted vertices.
+func TestBagContaining(t *testing.T) {
+	d := &Decomposition{Bags: [][]int{{0, 1, 3}, {1, 2, 3}}, Adj: [][]int{{1}, {0}}}
+	cases := []struct {
+		vs   []int
+		want int
+	}{
+		{[]int{3, 0}, 0},
+		{[]int{2, 1}, 1},
+		{[]int{3, 3}, 0},
+		{[]int{2}, 1},
+		{nil, 0},
+		{[]int{0, 2}, -1},
+		{[]int{4}, -1},
+		{[]int{-1}, -1},
+	}
+	for _, c := range cases {
+		if got := d.BagContaining(c.vs); got != c.want {
+			t.Errorf("BagContaining(%v) = %d, want %d", c.vs, got, c.want)
+		}
+	}
+}
+
 func TestValidateCatchesBadDecompositions(t *testing.T) {
 	g := graph.Path(3) // edges (0,1),(1,2)
 	cases := []struct {
